@@ -23,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LabelField, Metric
+from .lattice import oriented_reach
 
 __all__ = [
     "BrickId",
@@ -384,13 +385,20 @@ def open_implies_increasing_check(
 # n-bricklayer percolation simulation
 
 
-def _goodness_grid(field: LabelField, config: BrickConfig, depth: int) -> np.ndarray:
-    """Boolean goodness of all bricks with x <= depth on the (k, y) grid,
-    evaluated vectorised: rows y in [0, 2*depth], columns k in [0, depth]."""
+def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
+    """Goodness of all bricks with x <= depth on the (k, y) grid, evaluated
+    vectorised: rows y in [0, 2*depth], columns k in [0, depth].
+
+    Returns (good, lcol, rcol): the boolean goodness grid and, per brick,
+    the site column of its first open left-vertical and right-vertical
+    edge (meaningful where the brick is good).
+    """
     n = config.n
     w = config.window_margin
     ny, nk = 2 * depth + 1, depth + 1
     good = np.zeros((nk, ny), dtype=bool)
+    lcol = np.full((nk, ny), -1, dtype=np.int64)
+    rcol = np.full((nk, ny), -1, dtype=np.int64)
     idx = np.arange(n)
     for y in range(ny):
         ks = np.arange(0, nk)
@@ -411,34 +419,12 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int) -> np.nda
         hor_ok = ((u0 > w) & (u0 < 1 - w)).all(axis=1) & ((u1 > w) & (u1 < 1 - w)).all(axis=1)
         lv = slice(n // 4, n // 2)
         rv = slice(n // 2, 3 * n // 4)
-        lver_ok = (u0[:, lv] < u1[:, lv]).any(axis=1)
-        rver_ok = (u1[:, rv] < u2[:, rv]).any(axis=1)
-        good[ks, y] = hor_ok & lver_ok & rver_ok
-    return good
-
-
-def _reach_grid(good: np.ndarray, depth: int):
-    """Oriented reachability over good bricks on the (k, y) grid, where
-    brick edges (x,y)->(x+1,y) and (x,y)->(x+1/2,y+1) become grid steps
-    (k,y)->(k+1,y) and (k,y)->(k,y+1)."""
-    nk, ny = good.shape
-    reach = np.zeros_like(good)
-    for y in range(ny):
-        for k in range(nk):
-            if not good[k, y]:
-                continue
-            if k == 0 and y == 0:
-                reach[k, y] = True
-            else:
-                prev = (k > 0 and reach[k - 1, y]) or (y > 0 and reach[k, y - 1])
-                reach[k, y] = prev
-    hits = [
-        (k, y)
-        for k in range(nk)
-        for y in range(ny)
-        if reach[k, y] and k + y / 2 >= depth
-    ]
-    return reach, hits
+        lver_open = u0[:, lv] < u1[:, lv]
+        rver_open = u1[:, rv] < u2[:, rv]
+        good[ks, y] = hor_ok & lver_open.any(axis=1) & rver_open.any(axis=1)
+        lcol[ks, y] = c0 + lv.start + lver_open.argmax(axis=1)
+        rcol[ks, y] = c0 + rv.start + rver_open.argmax(axis=1)
+    return good, lcol, rcol
 
 
 def _witness_brick_path(reach: np.ndarray, target) -> list:
@@ -455,61 +441,40 @@ def _witness_brick_path(reach: np.ndarray, target) -> list:
     return path
 
 
-def _witness_open_path(brick_path, config: BrickConfig, field: LabelField):
-    """Explicit open-edge path through a directed chain of good bricks.
+def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> np.ndarray:
+    """Explicit open-edge path through a directed chain of good bricks, as
+    an (L, 2) array of sites.
 
     Enters each brick on its bottom row within the first column quarter,
-    walks right to an open left-vertical column, climbs, walks right to an
-    open right-vertical column, climbs again (diagonal brick step) or just
-    walks the bottom row through (horizontal brick step); finishes at the
-    middle-right vertex of the last brick.
+    walks right to its first open left-vertical column, climbs, walks
+    right to its first open right-vertical column, climbs again (diagonal
+    brick step) or just walks the bottom row through (horizontal brick
+    step); finishes at the middle-right vertex of the last brick.  The
+    open columns are the ones ``_goodness_grid`` recorded, so nothing is
+    hashed here; ``_verify_open_path`` re-hashes the result.
     """
     n = config.n
-
-    def open_vertical(a, b):
-        return field.uniform_at((a, b)) < field.uniform_at((a, b + 1))
-
-    path = []
     k0, y0 = brick_path[0]
-    pos = ((k0 * n) + (y0 * n) // 2, 2 * y0)  # bottom-left corner
-    path.append(pos)
-
-    def walk_right(pos, col):
-        a, b = pos
-        while a < col:
-            a += 1
-            path.append((a, b))
-        return (a, b)
-
-    def climb(pos):
-        a, b = pos
-        path.append((a, b + 1))
-        return (a, b + 1)
-
+    corners = [(k0 * n + (y0 * n) // 2, 2 * y0)]  # bottom-left corner
     for i, (k, y) in enumerate(brick_path):
         c0 = k * n + (y * n) // 2
         r0 = 2 * y
-        last = i == len(brick_path) - 1
-        goes_up = (not last) and brick_path[i + 1][1] == y + 1
-        if goes_up:
-            lcols = [a for a in range(c0 + n // 4, c0 + n // 2) if open_vertical(a, r0)]
-            rcols = [a for a in range(c0 + n // 2, c0 + 3 * n // 4) if open_vertical(a, r0 + 1)]
-            if not lcols or not rcols:
-                raise AssertionError(f"brick {(k, y)} on the witness path is not good")
-            pos = walk_right(pos, lcols[0])
-            pos = climb(pos)
-            pos = walk_right(pos, rcols[0])
-            pos = climb(pos)
-        elif last:
-            lcols = [a for a in range(c0 + n // 4, c0 + n // 2) if open_vertical(a, r0)]
-            if not lcols:
-                raise AssertionError(f"brick {(k, y)} on the witness path is not good")
-            pos = walk_right(pos, lcols[0])
-            pos = climb(pos)
-            pos = walk_right(pos, c0 + n)  # middle-right vertex
+        if i == len(brick_path) - 1:
+            lc = lcol[k, y]
+            corners += [(lc, r0), (lc, r0 + 1), (c0 + n, r0 + 1)]  # middle-right vertex
+        elif brick_path[i + 1][1] == y + 1:
+            lc, rc = lcol[k, y], rcol[k, y]
+            corners += [(lc, r0), (lc, r0 + 1), (rc, r0 + 1), (rc, r0 + 2)]
         else:
-            pos = walk_right(pos, c0 + n)  # shared corner with brick (k+1, y)
-    return path
+            corners.append((c0 + n, r0))  # shared corner with brick (k+1, y)
+    # expand the straight runs between corners into unit steps
+    corners = np.array(corners, dtype=np.int64)
+    delta = np.diff(corners, axis=0)
+    lengths = np.abs(delta).sum(axis=1)
+    seg = np.repeat(np.arange(len(delta)), lengths)
+    t = np.arange(len(seg)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
+    steps = corners[seg] + t[:, None] * np.sign(delta)[seg]
+    return np.concatenate([corners[:1], steps])
 
 
 @dataclass(frozen=True)
@@ -561,9 +526,11 @@ def simulate_bricklayer(
     """Frequency of replicas with a directed path of good bricks from
     (0, 0) out to x >= depth.
 
-    On every percolating replica the implied open-edge path is rebuilt
-    from the witness brick chain and re-verified edge by edge against the
-    coupling's openness rules.
+    On every percolating replica the implied open-edge path is built from
+    the witness brick chain and the open vertical columns recorded by the
+    goodness pass, then verified independently: every site on it is
+    re-hashed and every edge checked against the coupling's openness
+    rules.
     """
     if depth < 1 or replicas < 1:
         raise ValueError("depth and replicas must be >= 1")
@@ -580,21 +547,27 @@ def simulate_bricklayer(
     ks = np.arange(depth + 1)
     ys = np.arange(2 * depth + 1)
     valid = ks[:, None] + ys[None, :] / 2 <= depth
+    far = ks[:, None] + ys[None, :] / 2 >= depth
     for r in range(replicas):
         field = field_factory(r)
-        good = _goodness_grid(field, config, depth)
+        good, lcol, rcol = _goodness_grid(field, config, depth)
         good_sum += int(good[valid].sum())
         brick_sum += int(valid.sum())
-        reach, hits = _reach_grid(good, depth)
-        perc = bool(hits)
+        reach = oriented_reach(good)
+        hits = np.argwhere(reach & far)
+        perc = bool(len(hits))
         witness = None
         if perc:
             percolating += 1
-            brick_path = _witness_brick_path(reach, hits[0])
-            vertex_path = _witness_open_path(brick_path, config, field)
+            brick_path = _witness_brick_path(reach, tuple(hits[0].tolist()))
+            vertex_path = _witness_open_path(brick_path, config, lcol, rcol)
             _verify_open_path(vertex_path, config, field)
             verified += 1
-            witness = {"bricks": brick_path, "start": vertex_path[0], "end": vertex_path[-1]}
+            witness = {
+                "bricks": brick_path,
+                "start": tuple(vertex_path[0].tolist()),
+                "end": tuple(vertex_path[-1].tolist()),
+            }
         if keep_records:
             records.append(
                 {
@@ -617,7 +590,20 @@ def simulate_bricklayer(
 
 
 def _verify_open_path(vertex_path, config: BrickConfig, field: LabelField):
-    """Every consecutive pair must be an open oriented edge."""
-    for u, v in zip(vertex_path, vertex_path[1:]):
-        if not edge_open((u, v), field, config):
-            raise AssertionError(f"witness edge {(u, v)} is not open")
+    """Independent check of a witness: re-hash every site of the path in
+    one batch and require each consecutive pair to be an oriented edge
+    that is open under the coupling's rules (see ``edge_open``)."""
+    path = np.asarray(vertex_path, dtype=np.int64)
+    step = np.diff(path, axis=0)
+    hor = (step[:, 0] == 1) & (step[:, 1] == 0)
+    ver = (step[:, 0] == 0) & (step[:, 1] == 1)
+    if not (hor | ver).all():
+        i = int(np.argmin(hor | ver))
+        raise ValueError(f"not a brick edge: {path[i].tolist()} -> {path[i + 1].tolist()}")
+    u = field.uniform_array(path)
+    src, dst = u[:-1], u[1:]
+    w = config.window_margin
+    is_open = np.where(hor, (w < src) & (src < 1.0 - w), src < dst)
+    if not is_open.all():
+        i = int(np.argmin(is_open))
+        raise AssertionError(f"witness edge {path[i].tolist()} -> {path[i + 1].tolist()} is not open")

@@ -86,7 +86,9 @@ def _parse_grid(text: str) -> list:
 def _offspring_from_args(args) -> OffspringDistribution:
     kind = args.offspring
     if kind == "deterministic":
-        return OffspringDistribution.deterministic(int(round(args.m)))
+        if not float(args.m).is_integer():
+            raise ValueError(f"deterministic offspring needs an integer --m, got {args.m}")
+        return OffspringDistribution.deterministic(int(args.m))
     if kind == "poisson":
         return OffspringDistribution.poisson(args.m)
     if kind == "geometric":
@@ -132,7 +134,11 @@ def _emit(doc: dict, args) -> None:
         payload = buf.getvalue().encode()
     else:
         payload = (json.dumps(_jsonable(doc), indent=1, sort_keys=True) + "\n").encode()
-    out = getattr(args, "out", None)
+    _write(payload, getattr(args, "out", None))
+
+
+def _write(payload: bytes, out) -> None:
+    """Write to ``out`` atomically (temp file, then rename), or to stdout."""
     if out:
         tmp = out + ".tmp"
         with open(tmp, "wb") as fh:
@@ -263,7 +269,7 @@ def _cmd_lattice_sim(args):
     doc = {
         "command": "lattice-sim",
         "dim": cfg.dimension,
-        "q": "inf" if cfg.metric.q == math.inf else _fmt_float(cfg.metric.q),
+        "q": _fmt_float(cfg.metric.q),
         "mode": cfg.mode,
         "radius": cfg.box_radius,
         "theta": _fmt_float(cfg.theta),
@@ -281,7 +287,7 @@ def _cmd_lattice_sweep(args):
     doc = {
         "command": "lattice-sweep",
         "dim": cfg.dimension,
-        "q": "inf" if cfg.metric.q == math.inf else _fmt_float(cfg.metric.q),
+        "q": _fmt_float(cfg.metric.q),
         "mode": cfg.mode,
         "radius": cfg.box_radius,
         "replicas": args.replicas,
@@ -297,15 +303,7 @@ def _cmd_lattice_export(args):
         aset = sweep_accessible_min_theta(cfg, args.grid)
     else:
         aset = accessible_set(cfg)
-    payload = export_accessible(aset, args.format)
-    if args.out:
-        tmp = args.out + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, args.out)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    _write(export_accessible(aset, args.format), args.out)
 
 
 def _cmd_bricklayer(args):
@@ -316,7 +314,7 @@ def _cmd_bricklayer(args):
     doc = {
         "command": "bricklayer",
         "n": cfg.n,
-        "q": "inf" if cfg.q == math.inf else _fmt_float(cfg.q),
+        "q": _fmt_float(cfg.q),
         "depth": args.depth,
         "replicas": args.replicas,
         "seed": args.seed,
@@ -337,7 +335,7 @@ def _cmd_bricklayer_check(args):
     doc = {
         "command": "bricklayer-check",
         "n": cfg.n,
-        "q": "inf" if cfg.q == math.inf else _fmt_float(cfg.q),
+        "q": _fmt_float(cfg.q),
         "seed": args.seed,
     }
     if cfg.q != math.inf:

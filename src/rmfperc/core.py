@@ -95,7 +95,7 @@ class Metric:
         if self.is_integer:
             p = int(self.q)
             return sum(abs(int(c)) ** p for c in site)
-        return math.fsum(abs(c) ** self.q for c in site)
+        return math.fsum(abs(int(c)) ** self.q for c in site)
 
     def norm(self, site: Sequence[int]) -> float:
         if self.q == math.inf:
@@ -105,13 +105,33 @@ class Metric:
         return float(self.power_key(site)) ** (1.0 / self.q)
 
     def norm_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorised norm of an (N, dim) integer array."""
-        a = np.abs(coords).astype(np.float64)
+        """Vectorised ``norm`` of an (N, dim) integer array, bit-identical
+        to it: the power sums are exact (integers for integer q, a
+        correctly rounded sum otherwise) and each distinct sum gets the
+        same float root as ``norm``."""
+        a = np.abs(np.asarray(coords, dtype=np.int64))
         if self.q == math.inf:
-            return a.max(axis=-1)
+            return a.max(axis=-1).astype(np.float64)
         if self.q == 1.0:
-            return a.sum(axis=-1)
-        return (a ** self.q).sum(axis=-1) ** (1.0 / self.q)
+            return a.sum(axis=-1).astype(np.float64)
+        if self.is_integer:
+            p = int(self.q)
+            if a.shape[-1] * int(a.max(initial=0)) ** p >= 2**63:
+                a = a.astype(object)  # Python ints: exact past int64
+            sums = (a**p).sum(axis=-1)
+        else:
+            # per-coordinate powers through the scalar pow, then the sum
+            # math.fsum gives; one IEEE addition is already correctly rounded
+            vals, inv = np.unique(a, return_inverse=True)
+            powers = np.array([c**self.q for c in vals.tolist()])[inv.reshape(a.shape)]
+            if a.shape[-1] <= 2:
+                sums = powers.sum(axis=-1)
+            else:
+                flat = powers.reshape(-1, a.shape[-1])
+                sums = np.array([math.fsum(row) for row in flat.tolist()]).reshape(a.shape[:-1])
+        vals, inv = np.unique(sums, return_inverse=True)
+        roots = np.array([float(s) ** (1.0 / self.q) for s in vals.tolist()])
+        return roots[inv].reshape(sums.shape)
 
 
 @dataclass(frozen=True)

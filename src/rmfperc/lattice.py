@@ -241,6 +241,29 @@ def sweep_accessible_min_theta(config: LatticeConfig, theta_grid) -> AccessibleS
     return final
 
 
+def oriented_reach(open_: np.ndarray) -> np.ndarray:
+    """Sites of a 2-D boolean grid reachable from [0, 0] through open sites
+    by unit steps that increase either index:
+
+        reach[i, j] = open[i, j] & (reach[i-1, j] | reach[i, j-1]).
+
+    Column j is one vectorised scan: a site is reached iff some seed (an
+    open site entered from column j-1, or the origin) lies after the last
+    closed site at or above it.
+    """
+    reach = np.zeros(open_.shape, dtype=bool)
+    rows = np.arange(open_.shape[0])
+    entered = np.zeros(open_.shape[0], dtype=bool)
+    entered[:1] = True  # the origin seeds column 0
+    for j in range(open_.shape[1]):
+        col = open_[:, j]
+        last_seed = np.maximum.accumulate(np.where(col & entered, rows, -1))
+        last_closed = np.maximum.accumulate(np.where(col, -1, rows))
+        reach[:, j] = last_seed > last_closed
+        entered = reach[:, j]
+    return reach
+
+
 @dataclass(frozen=True)
 class CouplingCheckReport:
     ok: bool
@@ -279,27 +302,13 @@ def oriented_coupling_check(theta: float, seed: int, box_radius: int) -> Couplin
         i, j = np.argwhere(bad)[0]
         violation = (int(i), int(j))
 
-    # oriented open cluster from the origin, by diagonals
-    reach = np.zeros_like(open_site, dtype=bool)
-    reach[0, 0] = open_site[0, 0]
-    for s in range(1, 2 * r + 1):
-        ii = np.arange(max(0, s - r), min(s, r) + 1)
-        jj = s - ii
-        from_left = np.zeros(len(ii), dtype=bool)
-        from_below = np.zeros(len(ii), dtype=bool)
-        mask = ii > 0
-        from_left[mask] = reach[ii[mask] - 1, jj[mask]]
-        mask = jj > 0
-        from_below[mask] = reach[ii[mask], jj[mask] - 1]
-        reach[ii, jj] = open_site[ii, jj] & (from_left | from_below)
-
     return CouplingCheckReport(
         ok=violation is None,
         theta=theta,
         seed=seed,
         box_radius=box_radius,
         open_sites=int(open_site.sum()),
-        cluster_size=int(reach.sum()),
+        cluster_size=int(oriented_reach(open_site).sum()),
         violation=violation,
     )
 

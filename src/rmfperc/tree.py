@@ -38,6 +38,11 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 
+# replicas per batch; martingale_trace's float sums depend on its chunk,
+# survivor counts do not
+MARTINGALE_CHUNK = 2048
+_SURVIVAL_CHUNK = 4096
+
 # hash-stream tags; keep tree keys disjoint from raw site keys
 _TREE_TAG = 0x7265_65
 _COUNT_TAG = 0x636E_74
@@ -302,6 +307,46 @@ class _BatchState:
         return capped
 
 
+def _replica_batches(field: LabelField, replicas: int, cap: int, chunk: int):
+    """Yield one fresh batch state per chunk of consecutive replica ids.
+
+    The chunk shrinks with ``cap`` to keep resting frontiers bounded:
+    replicas can each legitimately grow to ~cap members before being
+    declared survived.
+    """
+    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // max(cap, 1)))
+    for start in range(0, replicas, chunk):
+        yield _BatchState(field, np.arange(start, min(start + chunk, replicas)))
+
+
+def _survivor_counts(theta, offspring, horizons, replicas, cap, field):
+    """Survivor counts at each generation in ``horizons`` from one pass,
+    plus the number of replicas truncated by ``cap`` before the last one.
+
+    A replica survives to h when its frontier is nonempty at generation h
+    or it hit the cap at or before h.
+    """
+    if min(horizons) < 1 or replicas < 1:
+        raise ValueError("horizon_h and replicas must be >= 1")
+    last = max(horizons)
+    counts = np.zeros(len(horizons), dtype=np.int64)
+    truncated = 0
+    for state in _replica_batches(field, replicas, cap, _SURVIVAL_CHUNK):
+        extinct_at = np.full(state.n, last + 1)  # generation the frontier emptied
+        alive = np.ones(state.n, dtype=bool)
+        for gen in range(1, last + 1):
+            capped = state.step(theta, offspring, field, cap=cap) & alive
+            truncated += int(capped.sum())
+            alive &= ~capped
+            died = alive & (state.sizes() == 0)
+            extinct_at[died] = gen
+            alive &= ~died
+            if not alive.any():
+                break
+        counts += [int((extinct_at > h).sum()) for h in horizons]
+    return counts.tolist(), truncated
+
+
 def survival_probability(
     theta: float,
     offspring: OffspringDistribution,
@@ -310,7 +355,6 @@ def survival_probability(
     cap: int = DEFAULT_CAP,
     field: Optional[LabelField] = None,
     seed: int = 0,
-    chunk: int = 4096,
 ) -> SurvivalEstimate:
     """Fraction of replicas whose frontier is nonempty at ``horizon_h``.
 
@@ -318,29 +362,11 @@ def survival_probability(
     flagged as truncated (supercritical frontiers explode; stopping them
     early cannot misclassify an extinction).
     """
-    if horizon_h < 1 or replicas < 1:
-        raise ValueError("horizon_h and replicas must be >= 1")
     if field is None:
         field = LabelField(seed)
-    # keep resting frontiers bounded: replicas can each legitimately grow
-    # to ~cap members before being declared survived
-    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // max(cap, 1)))
-    survivors = 0
-    truncated = 0
-    for start in range(0, replicas, chunk):
-        ids = np.arange(start, min(start + chunk, replicas))
-        state = _BatchState(field, ids)
-        alive = np.ones(len(ids), dtype=bool)
-        for _ in range(horizon_h):
-            capped = state.step(theta, offspring, field, cap=cap) & alive
-            if capped.any():
-                survivors += int(capped.sum())
-                truncated += int(capped.sum())
-                alive &= ~capped
-            alive &= state.sizes() > 0
-            if not alive.any():
-                break
-        survivors += int(alive.sum())
+    (survivors,), truncated = _survivor_counts(
+        theta, offspring, (horizon_h,), replicas, cap, field
+    )
     return SurvivalEstimate(
         theta=theta,
         horizon=horizon_h,
@@ -367,32 +393,6 @@ class SurvivalCurve:
             {"theta": float(t), "survival": float(p), "stderr": float(s)}
             for t, p, s in zip(self.thetas, self.estimates, self.stderrs)
         ]
-
-
-def _survival_two_horizons(theta, offspring, horizon_h, replicas, cap, field, chunk):
-    """Survivor counts at generations floor(h/2) and h from one pass."""
-    mid = max(1, horizon_h // 2)
-    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // max(cap, 1)))
-    surv_mid = 0
-    surv_end = 0
-    for start in range(0, replicas, chunk):
-        ids = np.arange(start, min(start + chunk, replicas))
-        state = _BatchState(field, ids)
-        alive = np.ones(len(ids), dtype=bool)
-        done = np.zeros(len(ids), dtype=bool)  # capped: survived all horizons
-        for gen in range(1, horizon_h + 1):
-            capped = state.step(theta, offspring, field, cap=cap) & alive
-            done |= capped
-            alive &= ~capped
-            alive &= state.sizes() > 0
-            if gen == mid:
-                surv_mid += int((alive | done).sum())
-            if not (alive.any()):
-                if gen < mid:
-                    surv_mid += int(done.sum())
-                break
-        surv_end += int((alive | done).sum())
-    return surv_mid, surv_end, mid
 
 
 def estimate_theta_c_tree(
@@ -426,9 +426,10 @@ def estimate_theta_c_tree(
     errs = np.empty(len(thetas))
     halves = np.empty(len(thetas))
     crossing = None
+    mid = max(1, horizon_h // 2)
     for i, th in enumerate(thetas):
-        s_mid, s_end, _ = _survival_two_horizons(
-            float(th), offspring, horizon_h, replicas, cap, field, 4096
+        (s_mid, s_end), _ = _survivor_counts(
+            float(th), offspring, (mid, horizon_h), replicas, cap, field
         )
         p = s_end / replicas
         ests[i] = p
@@ -461,7 +462,6 @@ def martingale_trace(
     replicas: int,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    chunk: int = 2048,
 ) -> MartingaleTrace:
     """Monte Carlo trace of the additive martingale built from the lead
     eigenfunction: constant in expectation across generations.
@@ -475,14 +475,11 @@ def martingale_trace(
         )
     lam = lead_eigenvalue(m, theta)
     field = LabelField(seed)
-    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // max(cap, 1)))
     n_gen = generations + 1
     w_sum = np.zeros(n_gen)
     w_sqsum = np.zeros(n_gen)
     size_sum = np.zeros(n_gen)
-    for start in range(0, replicas, chunk):
-        ids = np.arange(start, min(start + chunk, replicas))
-        state = _BatchState(field, ids)
+    for state in _replica_batches(field, replicas, cap, MARTINGALE_CHUNK):
         for gen in range(n_gen):
             if gen > 0:
                 capped = state.step(theta, offspring, field, cap=cap)
@@ -493,7 +490,7 @@ def martingale_trace(
             w = np.bincount(
                 state.replica,
                 weights=eigenfunction_eval(m, theta, lam, state.uniforms),
-                minlength=len(ids),
+                minlength=state.n,
             ) * lam ** (-gen)
             w_sum[gen] += w.sum()
             w_sqsum[gen] += (w * w).sum()

@@ -381,15 +381,67 @@ def test_simulate_validation():
 
 
 def test_goodness_grid_matches_scalar_op():
-    # the simulator's vectorised goodness agrees with brick_good per brick
+    # the simulator's vectorised goodness agrees with brick_good per brick,
+    # and its recorded vertical columns are the first open ones
     from rmfperc.bricklayer import _goodness_grid
 
     cfg = BrickConfig(8, math.inf)
     field = LabelField(61)
     depth = 4
-    grid = _goodness_grid(field, cfg, depth)
+    grid, lcol, rcol = _goodness_grid(field, cfg, depth)
     for k in range(depth + 1):
         for y in range(2 * depth + 1):
             if k + y / 2 > depth:
                 continue
-            assert grid[k, y] == brick_good(BrickId.from_grid(k, y), field, cfg)
+            brick_id = BrickId.from_grid(k, y)
+            assert grid[k, y] == brick_good(brick_id, field, cfg)
+            if grid[k, y]:
+                brick = brick_build(brick_id, cfg)
+                first_l = next(e for e in brick.lver if edge_open(e, field, cfg))
+                first_r = next(e for e in brick.rver if edge_open(e, field, cfg))
+                assert (lcol[k, y], rcol[k, y]) == (first_l[0][0], first_r[0][0])
+
+
+def test_witness_path_edges_open_under_scalar_rule():
+    from rmfperc.bricklayer import (
+        _goodness_grid,
+        _verify_open_path,
+        _witness_brick_path,
+        _witness_open_path,
+    )
+    from rmfperc.lattice import oriented_reach
+
+    cfg = BrickConfig(16, math.inf)
+    depth = 6
+    checked = 0
+    for seed in range(6):
+        field = LabelField(seed)
+        good, lcol, rcol = _goodness_grid(field, cfg, depth)
+        reach = oriented_reach(good)
+        hits = [(k, y) for k, y in np.argwhere(reach) if k + y / 2 >= depth]
+        if not hits:
+            continue
+        bricks = _witness_brick_path(reach, hits[0])
+        path = [tuple(int(c) for c in site) for site in _witness_open_path(bricks, cfg, lcol, rcol)]
+        _verify_open_path(path, cfg, field)
+        assert path[0] == (0, 0)
+        assert all(edge_open(e, field, cfg) for e in zip(path, path[1:]))
+        checked += 1
+    assert checked > 0
+
+
+def test_verify_open_path_rejects_closed_edge_and_non_edge():
+    from rmfperc.bricklayer import _verify_open_path
+
+    cfg = BrickConfig(8, math.inf)  # window (1/64, 63/64)
+    field = FixedField({(0, 0): 0.5, (1, 0): 0.4, (1, 1): 0.9, (2, 1): 0.5})
+    _verify_open_path([(0, 0), (1, 0), (1, 1), (2, 1)], cfg, field)
+    closed_vertical = FixedField({(0, 0): 0.5, (1, 0): 0.4, (1, 1): 0.3})
+    with pytest.raises(AssertionError):
+        _verify_open_path([(0, 0), (1, 0), (1, 1)], cfg, closed_vertical)
+    closed_horizontal = FixedField({(0, 0): 0.5, (1, 0): 0.001, (2, 0): 0.5})
+    with pytest.raises(AssertionError):
+        _verify_open_path([(0, 0), (1, 0), (2, 0)], cfg, closed_horizontal)
+    for bad_step in ([(0, 0), (2, 0)], [(1, 0), (0, 0)], [(0, 0), (1, 1)], [(0, 1), (0, 0)]):
+        with pytest.raises(ValueError):
+            _verify_open_path(bad_step, cfg, field)

@@ -183,6 +183,15 @@ def test_parameter_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
+    base = ["tree-sim", "--offspring", "deterministic", "--theta", "0.3",
+            "--horizon", "3", "--replicas", "5"]
+    code, payload = run_cli(base + ["--m", "2.6"], tmp_path)
+    assert code == 2 and payload == b""
+    code, payload = run_cli(base + ["--m", "3"], tmp_path)
+    assert code == 0 and json.loads(payload)["mean"] == 3.0
+
+
 def test_resource_guard_exit_code(tmp_path):
     code, _ = run_cli(["lattice-sim", "--radius", "9999", "--replicas", "1"], tmp_path)
     assert code == 3

@@ -55,6 +55,33 @@ def test_norm_properties_random_pairs(q):
     assert np.allclose(m.norm_array(-a), na)
 
 
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, math.inf])
+@given(sites=st.lists(
+    st.lists(st.integers(-10**4, 10**4), min_size=2, max_size=2), min_size=1, max_size=50,
+))
+def test_norm_array_bit_identical_to_norm(q, sites):
+    m = Metric(q)
+    assert m.norm_array(np.array(sites)).tolist() == [m.norm(tuple(s)) for s in sites]
+
+
+def test_norm_array_bit_identical_on_box():
+    # a radius-60 box, where float power sums used to differ in the last ulp
+    r = 60
+    grid = np.stack(np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1)), axis=-1).reshape(-1, 2)
+    for q in (1.5, 2, 3, 2.5):
+        m = Metric(q)
+        assert m.norm_array(grid).tolist() == [m.norm(tuple(s)) for s in grid.tolist()]
+
+
+@pytest.mark.parametrize("q", [1.5, 3, 40])
+def test_norm_array_bit_identical_higher_dimension(q):
+    # three coordinates: fsum for non-integer q, Python ints past int64
+    rng = np.random.default_rng(3)
+    sites = rng.integers(-3000, 3001, size=(500, 3))
+    m = Metric(q)
+    assert m.norm_array(sites).tolist() == [m.norm(tuple(s)) for s in sites.tolist()]
+
+
 @pytest.mark.parametrize("q", [1, 2, 4])
 def test_exact_power_comparison_matches_float(q):
     # ordering by integer ||v||_q^q agrees with ordering by float norm

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rmfperc import (
     LabelField,
@@ -17,6 +19,7 @@ from rmfperc import (
     sweep_accessible_min_theta,
     sweep_theta,
 )
+from rmfperc.lattice import oriented_reach
 
 
 def nb_config(**kw):
@@ -235,6 +238,48 @@ def test_lattice_bound_validation():
 
 
 # --- oriented coupling -------------------------------------------------------------
+
+
+def reach_oracle(open_):
+    """Scalar reference for oriented reachability from [0, 0]: steps
+    (i, j) -> (i+1, j) and (i, j) -> (i, j+1) between open sites."""
+    ni, nj = open_.shape
+    reach = np.zeros_like(open_, dtype=bool)
+    for j in range(nj):
+        for i in range(ni):
+            if not open_[i, j]:
+                continue
+            if i == 0 and j == 0:
+                reach[i, j] = True
+            else:
+                reach[i, j] = (i > 0 and reach[i - 1, j]) or (j > 0 and reach[i, j - 1])
+    return reach
+
+
+@given(
+    arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))),
+)
+def test_oriented_reach_matches_oracle(open_):
+    assert np.array_equal(oriented_reach(open_), reach_oracle(open_))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (40, 25)])
+@pytest.mark.parametrize("density", [0.3, 0.6, 0.9])
+def test_oriented_reach_matches_oracle_thin_and_dense(shape, density):
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        open_ = rng.random(shape) < density
+        assert np.array_equal(oriented_reach(open_), reach_oracle(open_))
+
+
+def test_oriented_coupling_cluster_matches_oracle():
+    for theta, seed in ((0.5, 0), (0.55, 4), (0.7, 9)):
+        rep = oriented_coupling_check(theta, seed, 40)
+        field = LabelField(seed)
+        grid = np.stack(np.meshgrid(np.arange(41), np.arange(41), indexing="ij"), axis=-1)
+        open_ = field.uniform_array(grid.reshape(-1, 2)).reshape(41, 41) < theta
+        assert rep.open_sites == int(open_.sum())
+        assert rep.cluster_size == int(reach_oracle(open_).sum())
 
 
 def test_oriented_coupling_holds_on_samples():

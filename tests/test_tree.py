@@ -223,6 +223,29 @@ def test_theta_c_curve_binary_tree():
     assert all(a <= b + 1e-12 for a, b in zip(curve.estimates, curve.estimates[1:]))
 
 
+@pytest.mark.parametrize(
+    "offspring, horizon, cap",
+    [
+        (OffspringDistribution.deterministic(2), 20, 30),  # cap truncates replicas
+        (OffspringDistribution.poisson(1.5), 7, 50),
+        (OffspringDistribution.geometric(2.0), 12, 10**6),
+        (OffspringDistribution.poisson(1.2), 1, 10**6),
+    ],
+)
+def test_theta_c_curve_rows_equal_survival_probability(offspring, horizon, cap):
+    grid = [0.1, 0.2, 0.3, 0.45]
+    curve = estimate_theta_c_tree(offspring, grid, horizon, 300, cap=cap, seed=8)
+    truncated = 0
+    for th, full, half in zip(grid, curve.estimates, curve.estimates_half):
+        est = survival_probability(th, offspring, horizon, 300, cap=cap, seed=8)
+        mid = survival_probability(th, offspring, max(1, horizon // 2), 300, cap=cap, seed=8)
+        assert full == est.estimate
+        assert half == mid.estimate
+        truncated += est.truncated
+    if cap == 30:
+        assert truncated > 0
+
+
 def test_theta_c_curve_rejects_bad_grid():
     with pytest.raises(ValueError):
         estimate_theta_c_tree(OffspringDistribution.poisson(2.0), [0.5, 1.4], 10, 10)
