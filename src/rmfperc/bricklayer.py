@@ -441,9 +441,9 @@ def _witness_brick_path(reach: np.ndarray, target) -> list:
     return path
 
 
-def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> np.ndarray:
+def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> list:
     """Explicit open-edge path through a directed chain of good bricks, as
-    an (L, 2) array of sites.
+    a list of sites.
 
     Enters each brick on its bottom row within the first column quarter,
     walks right to its first open left-vertical column, climbs, walks
@@ -460,21 +460,20 @@ def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> np.ndarra
         c0 = k * n + (y * n) // 2
         r0 = 2 * y
         if i == len(brick_path) - 1:
-            lc = lcol[k, y]
+            lc = int(lcol[k, y])
             corners += [(lc, r0), (lc, r0 + 1), (c0 + n, r0 + 1)]  # middle-right vertex
         elif brick_path[i + 1][1] == y + 1:
-            lc, rc = lcol[k, y], rcol[k, y]
+            lc, rc = int(lcol[k, y]), int(rcol[k, y])
             corners += [(lc, r0), (lc, r0 + 1), (rc, r0 + 1), (rc, r0 + 2)]
         else:
             corners.append((c0 + n, r0))  # shared corner with brick (k+1, y)
     # expand the straight runs between corners into unit steps
-    corners = np.array(corners, dtype=np.int64)
-    delta = np.diff(corners, axis=0)
-    lengths = np.abs(delta).sum(axis=1)
-    seg = np.repeat(np.arange(len(delta)), lengths)
-    t = np.arange(len(seg)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
-    steps = corners[seg] + t[:, None] * np.sign(delta)[seg]
-    return np.concatenate([corners[:1], steps])
+    path = [corners[0]]
+    for a, b in corners[1:]:
+        pa, pb = path[-1]
+        path += [(c, pb) for c in range(pa + 1, a + 1)]
+        path += [(a, r) for r in range(pb + 1, b + 1)]
+    return path
 
 
 @dataclass(frozen=True)
@@ -565,8 +564,8 @@ def simulate_bricklayer(
             verified += 1
             witness = {
                 "bricks": brick_path,
-                "start": tuple(vertex_path[0].tolist()),
-                "end": tuple(vertex_path[-1].tolist()),
+                "start": vertex_path[0],
+                "end": vertex_path[-1],
             }
         if keep_records:
             records.append(

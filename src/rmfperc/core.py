@@ -106,32 +106,21 @@ class Metric:
 
     def norm_array(self, coords: np.ndarray) -> np.ndarray:
         """Vectorised ``norm`` of an (N, dim) integer array, bit-identical
-        to it: the power sums are exact (integers for integer q, a
-        correctly rounded sum otherwise) and each distinct sum gets the
-        same float root as ``norm``."""
+        to it: the power sums are exact (integers for integer q,
+        ``power_key`` of each site otherwise) and each sum gets the same
+        float root as ``norm``."""
         a = np.abs(np.asarray(coords, dtype=np.int64))
         if self.q == math.inf:
             return a.max(axis=-1).astype(np.float64)
-        if self.q == 1.0:
-            return a.sum(axis=-1).astype(np.float64)
         if self.is_integer:
             p = int(self.q)
             if a.shape[-1] * int(a.max(initial=0)) ** p >= 2**63:
                 a = a.astype(object)  # Python ints: exact past int64
-            sums = (a**p).sum(axis=-1)
+            sums = (a**p).sum(axis=-1).ravel().tolist()
         else:
-            # per-coordinate powers through the scalar pow, then the sum
-            # math.fsum gives; one IEEE addition is already correctly rounded
-            vals, inv = np.unique(a, return_inverse=True)
-            powers = np.array([c**self.q for c in vals.tolist()])[inv.reshape(a.shape)]
-            if a.shape[-1] <= 2:
-                sums = powers.sum(axis=-1)
-            else:
-                flat = powers.reshape(-1, a.shape[-1])
-                sums = np.array([math.fsum(row) for row in flat.tolist()]).reshape(a.shape[:-1])
-        vals, inv = np.unique(sums, return_inverse=True)
-        roots = np.array([float(s) ** (1.0 / self.q) for s in vals.tolist()])
-        return roots[inv].reshape(sums.shape)
+            sums = [self.power_key(site) for site in a.reshape(-1, a.shape[-1]).tolist()]
+        roots = [float(s) ** (1.0 / self.q) for s in sums]
+        return np.array(roots, dtype=np.float64).reshape(a.shape[:-1])
 
 
 @dataclass(frozen=True)
