@@ -258,9 +258,7 @@ def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
     else:
         a_min = compute_A(config)
         bound = 1.0 - 2.0 * (5.0 / config.n) ** config.q
-    violations = []
-    min_gap = math.inf
-    sites = 0
+    sites = []
     bricks = 0
     for brick_id in brick_range:
         if brick_id.x < 2:
@@ -268,22 +266,24 @@ def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
         c0 = _col0(brick_id, config.n)
         r0 = 2 * brick_id.y
         bricks += 1
-        for a in range(c0, c0 + config.n + 1):
-            if a < a_min:
-                continue
-            for b in (r0, r0 + 1, r0 + 2):
-                gap = metric.norm((a + 1, b)) - metric.norm((a, b))
-                sites += 1
-                min_gap = min(min_gap, gap)
-                if not gap > bound:
-                    violations.append((a, b, gap))
+        sites += [
+            (a, b)
+            for a in range(c0, c0 + config.n + 1)
+            if a >= a_min
+            for b in (r0, r0 + 1, r0 + 2)
+        ]
+    ab = np.array(sites, dtype=np.int64).reshape(-1, 2)
+    far, near = metric.norm_array(np.stack([ab + (1, 0), ab]))
+    gaps = far - near
+    bad = np.flatnonzero(~(gaps > bound))
+    violations = [(*sites[i], float(gaps[i])) for i in bad.tolist()]
     return GapCheckReport(
         ok=not violations,
         config=config,
         threshold=a_min,
         bricks_checked=bricks,
-        sites_checked=sites,
-        min_gap=min_gap,
+        sites_checked=len(sites),
+        min_gap=float(gaps.min(initial=math.inf)),
         bound=bound,
         violations=tuple(violations),
     )

@@ -104,23 +104,31 @@ class Metric:
             return float(self.power_key(site))
         return float(self.power_key(site)) ** (1.0 / self.q)
 
-    def norm_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorised ``norm`` of an (N, dim) integer array, bit-identical
-        to it: the power sums are exact (integers for integer q,
-        ``power_key`` of each site otherwise) and each sum gets the same
-        float root as ``norm``."""
+    def power_key_array(self, coords: np.ndarray) -> np.ndarray:
+        """Vectorised ``power_key`` of an (N, dim) integer array, equal to
+        it key by key: int64 for q = inf and integer q (Python ints in an
+        object array once the sums could pass int64), ``power_key`` of
+        each site (fsum floats) otherwise."""
         a = np.abs(np.asarray(coords, dtype=np.int64))
         if self.q == math.inf:
-            return a.max(axis=-1).astype(np.float64)
+            return a.max(axis=-1)
         if self.is_integer:
             p = int(self.q)
             if a.shape[-1] * int(a.max(initial=0)) ** p >= 2**63:
                 a = a.astype(object)  # Python ints: exact past int64
-            sums = (a**p).sum(axis=-1).ravel().tolist()
-        else:
-            sums = [self.power_key(site) for site in a.reshape(-1, a.shape[-1]).tolist()]
-        roots = [float(s) ** (1.0 / self.q) for s in sums]
-        return np.array(roots, dtype=np.float64).reshape(a.shape[:-1])
+            return (a**p).sum(axis=-1)
+        keys = [self.power_key(site) for site in a.reshape(-1, a.shape[-1]).tolist()]
+        return np.array(keys, dtype=np.float64).reshape(a.shape[:-1])
+
+    def norm_array(self, coords: np.ndarray) -> np.ndarray:
+        """Vectorised ``norm`` of an (N, dim) integer array, bit-identical
+        to it: each exact power sum from ``power_key_array`` gets the same
+        float root as ``norm``."""
+        keys = self.power_key_array(coords)
+        if self.q == math.inf:
+            return keys.astype(np.float64)
+        roots = [float(s) ** (1.0 / self.q) for s in keys.ravel().tolist()]
+        return np.array(roots, dtype=np.float64).reshape(keys.shape)
 
 
 @dataclass(frozen=True)

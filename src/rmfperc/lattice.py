@@ -36,9 +36,14 @@ __all__ = [
     "parse_accessible",
 ]
 
-# guard against runaway memory: sites in the bounding box, sized so that
-# radius 5000 in 2D is the largest admissible square box
-_MAX_BOX_SITES = (2 * 5000 + 1) ** 2
+# guard against runaway memory, in bytes.  The one-pass engine holds the
+# whole box: peaks measured with tracemalloc at q = 1 and 2, dimensions 2-4
+# and 10^4 to 10^6 sites are 85-120 bytes per site while ``_NbBox.of``
+# builds the distances (Python float lists) and 61-81 bytes per site in
+# ``_nb_levels``.  Non-integer q and integer power sums past int64 cost more
+# while the box is built (157 bytes per site at q = 1.5, 303 at q = 40).
+_BYTES_PER_SITE = 128
+_MAX_BOX_BYTES = 2**32
 
 
 class ResourceGuardError(RuntimeError):
@@ -73,10 +78,13 @@ class LatticeConfig:
             raise ValueError(f"box_radius must be >= 1, got {self.box_radius}")
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0,1], got {self.theta}")
-        if (2 * self.box_radius + 1) ** self.dimension > _MAX_BOX_SITES:
+        side = self.box_radius + 1 if self.first_orthant else 2 * self.box_radius + 1
+        need = side**self.dimension * _BYTES_PER_SITE
+        if need > _MAX_BOX_BYTES:
             raise ResourceGuardError(
                 f"box with radius {self.box_radius} in dimension "
-                f"{self.dimension} exceeds the site guard of {_MAX_BOX_SITES}"
+                f"{self.dimension} needs about {need} bytes, over the guard "
+                f"of {_MAX_BOX_BYTES} bytes"
             )
 
 
@@ -213,30 +221,156 @@ def crossing_probability(config: LatticeConfig, replicas: int) -> CrossingEstima
     return CrossingEstimate(config, replicas, crossings)
 
 
+def _checked_grid(theta_grid) -> list:
+    grid = [float(t) for t in theta_grid]
+    for th in grid:
+        if not (0.0 <= th <= 1.0):
+            raise ValueError(f"theta must lie in [0,1], got {th}")
+    return grid
+
+
+def _distinct_sorted(grid: list) -> list:
+    """The grid sorted, keeping the first of each run of equal drifts."""
+    thetas = sorted(grid)
+    return [t for i, t in enumerate(thetas) if i == 0 or t != thetas[i - 1]]
+
+
+def _edge_views(arr: np.ndarray, step: tuple):
+    """Views (at u, at v) of box array ``arr`` over every edge u -> v = u + step."""
+    axis = next(i for i, c in enumerate(step) if c)
+    lo = [slice(None)] * arr.ndim
+    hi = [slice(None)] * arr.ndim
+    lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+    lo, hi = tuple(lo), tuple(hi)
+    return (arr[lo], arr[hi]) if step[axis] > 0 else (arr[hi], arr[lo])
+
+
+@dataclass(frozen=True)
+class _NbBox:
+    """Geometry an nb sweep shares across replicas: the box's sites in C
+    order, their distances, the edges that move strictly further from the
+    origin, and the crossing sites (||v||_q >= box_radius)."""
+
+    coords: np.ndarray
+    offset: int
+    norms: np.ndarray
+    further: tuple
+    crossing: np.ndarray
+
+    @classmethod
+    def of(cls, config: LatticeConfig) -> "_NbBox":
+        r, dim = config.box_radius, config.dimension
+        offset = 0 if config.first_orthant else r
+        shape = (r + 1 + offset,) * dim
+        coords = np.indices(shape).reshape(dim, -1).T - offset
+        keys = config.metric.power_key_array(coords).reshape(shape)
+        further = []
+        for step in _steps(dim):
+            ku, kv = _edge_views(keys, step)
+            further.append(kv > ku)
+        norms = config.metric.norm_array(coords).reshape(shape)
+        return cls(coords, offset, norms, tuple(further), norms >= r)
+
+
+def _nb_levels(box: _NbBox, field: LabelField, thetas: list) -> np.ndarray:
+    """For every site of the box, the smallest index k into the sorted
+    distinct drifts ``thetas`` at which the site is accessible in "nb"
+    mode, or K = len(thetas) if it never is.
+
+    Edge u -> v is open at theta_k iff it moves strictly further from the
+    origin and fl(U_v + theta_k*n_v) > fl(U_u + theta_k*n_u), the float
+    expression of ``accessible_set``.  Its level is the number of grid
+    drifts at which it is closed; a site's level is the min over paths of
+    the max edge level, relaxed to a fixpoint from the origin.  Raises if
+    an edge's openness is not monotone in theta over the grid.
+    """
+    shape = box.norms.shape
+    steps = _steps(len(shape))
+    dtype = np.min_scalar_type(len(thetas))
+    u = field.uniform_array(box.coords).reshape(shape)
+    edges = [np.zeros(f.shape, dtype=dtype) for f in box.further]
+    for k, th in enumerate(thetas):
+        x = u + th * box.norms
+        for step, further, level in zip(steps, box.further, edges):
+            xu, xv = _edge_views(x, step)
+            closed = ~((xv > xu) & further)
+            if (closed & (level != k)).any():
+                raise RuntimeError(
+                    f"an edge open at a smaller grid drift is closed at theta={th}: "
+                    "openness is not monotone over the grid"
+                )
+            level += closed
+    lvl = np.full(shape, len(thetas), dtype=dtype)
+    lvl[(box.offset,) * len(shape)] = 0
+    while True:
+        before = lvl.copy()
+        for step, level in zip(steps, edges):
+            lu, lv = _edge_views(lvl, step)
+            np.minimum(lv, np.maximum(lu, level), out=lv)
+        if np.array_equal(before, lvl):
+            return lvl
+
+
 def sweep_theta(config: LatticeConfig, theta_grid, replicas: int):
     """Crossing estimate per grid drift, sharing replica fields across the
-    grid.  Returns a list of dicts (theta, crossing, stderr)."""
-    rows = []
-    for th in theta_grid:
-        est = crossing_probability(replace(config, theta=float(th)), replicas)
-        rows.append(
-            {"theta": float(th), "crossing": est.estimate, "stderr": est.stderr}
-        )
-    return rows
+    grid.  Returns a list of dicts (theta, crossing, stderr) in grid order.
+
+    In "nb" mode accessible sets are nested in theta, so one ``_nb_levels``
+    pass per replica decides crossing at every grid drift: replica i
+    crosses at theta_k iff some crossing site has level <= k.  Mode "all"
+    runs one closure per grid drift and replica.
+    """
+    grid = _checked_grid(theta_grid)
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    if config.mode == "all":
+        ests = [crossing_probability(replace(config, theta=th), replicas) for th in grid]
+    else:
+        thetas = _distinct_sorted(grid)
+        box = _NbBox.of(config)
+        base = LabelField(config.seed)
+        first = []  # per replica, the first grid index at which it crosses
+        for i in range(replicas):
+            lvl = _nb_levels(box, LabelField(base.key_of((0x6C61, i))), thetas)
+            first.append(int(lvl[box.crossing].min(initial=len(thetas))))
+        crossings = {th: sum(f <= k for f in first) for k, th in enumerate(thetas)}
+        ests = [CrossingEstimate(config, replicas, crossings[th]) for th in grid]
+    return [
+        {"theta": th, "crossing": est.estimate, "stderr": est.stderr}
+        for th, est in zip(grid, ests)
+    ]
 
 
 def sweep_accessible_min_theta(config: LatticeConfig, theta_grid) -> AccessibleSet:
     """Accessible set at the largest grid drift, annotated per site with
     the smallest grid drift at which it was already accessible (well
-    defined in "nb" mode, where sets are nested in theta)."""
-    thetas = sorted(float(t) for t in theta_grid)
+    defined in "nb" mode, where sets are nested in theta).
+
+    In "nb" mode one closure at the largest drift supplies labels and
+    witness chains, and ``_nb_levels`` supplies every site's min drift.
+    """
+    thetas = _distinct_sorted(_checked_grid(theta_grid))
+    if not thetas:
+        raise ValueError("theta grid must be nonempty")
     field = LabelField(config.seed)
-    min_theta = {}
-    final = None
-    for th in thetas:
-        final = accessible_set(replace(config, theta=th), field=field)
-        for site in final.labels:
-            min_theta.setdefault(site, th)
+    if config.mode == "all":
+        min_theta = {}
+        for th in thetas:
+            final = accessible_set(replace(config, theta=th), field=field)
+            for site in final.labels:
+                min_theta.setdefault(site, th)
+        final.min_theta = min_theta
+        return final
+    final = accessible_set(replace(config, theta=thetas[-1]), field=field)
+    box = _NbBox.of(config)
+    lvl = _nb_levels(box, field, thetas)
+    reached = np.argwhere(lvl < len(thetas))
+    levels = lvl[tuple(reached.T)].tolist()
+    min_theta = {
+        tuple(site): thetas[k] for site, k in zip((reached - box.offset).tolist(), levels)
+    }
+    if min_theta.keys() != final.labels.keys():
+        raise RuntimeError("one-pass levels disagree with the closure at the largest drift")
     final.min_theta = min_theta
     return final
 

@@ -314,7 +314,9 @@ def _replica_batches(field: LabelField, replicas: int, cap: int, chunk: int):
     replicas can each legitimately grow to ~cap members before being
     declared survived.
     """
-    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // max(cap, 1)))
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // cap))
     for start in range(0, replicas, chunk):
         yield _BatchState(field, np.arange(start, min(start + chunk, replicas)))
 
@@ -469,6 +471,8 @@ def martingale_trace(
     Raises if any replica hits the frontier cap, since truncation would
     bias the trace.
     """
+    if replicas < 1 or generations < 0:
+        raise ValueError("replicas must be >= 1 and generations >= 0")
     if abs(offspring.mean - m) > 1e-9 * max(1.0, m):
         raise ValueError(
             f"offspring mean {offspring.mean} does not match m={m}"

@@ -289,6 +289,43 @@ def test_distance_gap_exhaustive_scan():
     assert report.bricks_checked == len(ids)
 
 
+def distance_gap_oracle(config, brick_range):
+    """The scalar double loop: (sites, min gap, violations) from Metric.norm."""
+    metric = config.metric
+    a_min = 0 if config.q == math.inf else compute_A(config)
+    bound = distance_gap_check(config, []).bound
+    sites, min_gap, violations = 0, math.inf, []
+    for brick_id in brick_range:
+        c0 = int(brick_id.x * config.n)
+        r0 = 2 * brick_id.y
+        for a in range(max(c0, a_min), c0 + config.n + 1):
+            for b in (r0, r0 + 1, r0 + 2):
+                gap = metric.norm((a + 1, b)) - metric.norm((a, b))
+                sites += 1
+                min_gap = min(min_gap, gap)
+                if not gap > bound:
+                    violations.append((a, b, gap))
+    return sites, min_gap, tuple(violations)
+
+
+@pytest.mark.parametrize(
+    "n, q, x_max",
+    [(16, 2.0, 6), (64, 2.0, 4), (64, 3.0, 4), (32, 1.5, 4), (8, math.inf, 4), (4, math.inf, 6),
+     (16, 2.0, 1.5)],
+)
+def test_distance_gap_equals_scalar_loop(n, q, x_max):
+    cfg = BrickConfig(n, q)
+    ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
+    report = distance_gap_check(cfg, ids)
+    sites, min_gap, violations = distance_gap_oracle(cfg, ids)
+    assert (report.sites_checked, report.min_gap, report.violations) == (
+        sites, min_gap, violations
+    )
+    assert report.ok == (not violations)
+    if n == 4:  # bricks reach above the diagonal, where a right step keeps the max norm
+        assert len(violations) == 27
+
+
 def test_distance_gap_rejects_near_origin_bricks():
     cfg = BrickConfig(16, 2.0)
     with pytest.raises(ValueError):

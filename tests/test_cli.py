@@ -192,6 +192,23 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
     assert code == 0 and json.loads(payload)["mean"] == 3.0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tree-martingale", "--m", "3", "--theta", "0.3", "--generations", "2",
+         "--replicas", "0"],
+        ["tree-martingale", "--m", "3", "--theta", "0.3", "--generations", "-1",
+         "--replicas", "5"],
+        ["tree-sim", "--m", "2", "--offspring", "deterministic", "--theta", "0.3",
+         "--cap", "0", "--replicas", "5", "--horizon", "3"],
+        ["lattice-sweep", "--grid", "0.9:1.2:0.1", "--radius", "10"],
+        ["lattice-sweep", "--grid", "0.3:0.4:0.1", "--radius", "10", "--replicas", "0"],
+    ],
+)
+def test_bad_sizes_exit_code(tmp_path, args):
+    assert run_cli(args, tmp_path) == (2, b"")
+
+
 def test_resource_guard_exit_code(tmp_path):
     code, _ = run_cli(["lattice-sim", "--radius", "9999", "--replicas", "1"], tmp_path)
     assert code == 3

@@ -64,6 +64,17 @@ def test_norm_array_bit_identical_to_norm(q, sites):
     assert m.norm_array(np.array(sites)).tolist() == [m.norm(tuple(s)) for s in sites]
 
 
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, math.inf, 40])
+@given(sites=st.lists(
+    st.lists(st.integers(-10**4, 10**4), min_size=3, max_size=3), min_size=1, max_size=30,
+))
+def test_power_key_array_equals_power_key(q, sites):
+    m = Metric(q)
+    keys = m.power_key_array(np.array(sites)).tolist()
+    assert keys == [m.power_key(tuple(s)) for s in sites]
+    assert all(type(k) is type(m.power_key(tuple(s))) for k, s in zip(keys, sites))
+
+
 def test_norm_array_bit_identical_on_box():
     # a radius-60 box, where float power sums used to differ in the last ulp
     r = 60

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmfperc import (
@@ -19,7 +20,8 @@ from rmfperc import (
     sweep_accessible_min_theta,
     sweep_theta,
 )
-from rmfperc.lattice import oriented_reach
+from rmfperc.lattice import _NbBox, _nb_levels, oriented_reach
+from conftest import FixedField
 
 
 def nb_config(**kw):
@@ -128,6 +130,14 @@ def test_resource_guard():
         LatticeConfig(dimension=4, metric=Metric(1), box_radius=200, theta=0.5)
 
 
+def test_resource_guard_counts_bytes_of_the_box():
+    with pytest.raises(ResourceGuardError, match="bytes"):
+        LatticeConfig(dimension=3, metric=Metric(1), box_radius=200)
+    # the first orthant holds a 2^dim times smaller box
+    LatticeConfig(dimension=3, metric=Metric(1), box_radius=200, first_orthant=True)
+    LatticeConfig(dimension=2, metric=Metric(1), box_radius=2000)
+
+
 def test_three_dimensional_box():
     cfg = LatticeConfig(dimension=3, metric=Metric(1), mode="nb", box_radius=8,
                         theta=1.0, seed=5)
@@ -187,6 +197,111 @@ def test_sweep_euclidean_all_paths_transition():
     rows = sweep_theta(cfg, [0.32, 0.36, 0.40, 0.44, 0.48, 0.52, 0.56], 40)
     crossing = half_plateau_crossing(rows)
     assert 0.40 < crossing < 0.60
+
+
+def sweep_theta_oracle(config, theta_grid, replicas):
+    """One closure per grid drift and replica."""
+    rows = []
+    for th in theta_grid:
+        est = crossing_probability(replace(config, theta=float(th)), replicas)
+        rows.append({"theta": float(th), "crossing": est.estimate, "stderr": est.stderr})
+    return rows
+
+
+def min_theta_oracle(config, theta_grid):
+    """The per-drift loop: one closure per sorted grid drift."""
+    field = LabelField(config.seed)
+    min_theta = {}
+    for th in sorted(float(t) for t in theta_grid):
+        final = accessible_set(replace(config, theta=th), field=field)
+        for site in final.labels:
+            min_theta.setdefault(site, th)
+    final.min_theta = min_theta
+    return final
+
+
+lattice_q = st.sampled_from([1, 1.5, 2, 3, math.inf, 40])
+theta_grids = st.lists(
+    st.sampled_from([0.0, 1.0, 0.15, 0.3, 0.3, 0.42, 0.5, 0.61, 0.75, 0.9]),
+    min_size=1, max_size=7,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    q=lattice_q,
+    shape=st.sampled_from([(2, 1), (2, 4), (2, 9), (3, 1), (3, 4)]),
+    first_orthant=st.booleans(),
+    grid=theta_grids,
+    seed=st.integers(0, 10**6),
+)
+def test_nb_levels_equal_closure_per_theta(q, shape, first_orthant, grid, seed):
+    dim, r = shape
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=r,
+                        seed=seed, first_orthant=first_orthant)
+    thetas = sorted(set(grid))
+    box = _NbBox.of(cfg)
+    field = LabelField(seed)
+    lvl = _nb_levels(box, field, thetas)
+    for k, th in enumerate(thetas):
+        aset = accessible_set(replace(cfg, theta=th), field=field)
+        sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
+        assert sites == set(aset.labels)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    q=lattice_q,
+    shape=st.sampled_from([(2, 2), (2, 6), (3, 3)]),
+    first_orthant=st.booleans(),
+    grid=theta_grids,
+    seed=st.integers(0, 10**6),
+)
+def test_sweep_theta_equals_crossing_probability(q, shape, first_orthant, grid, seed):
+    dim, r = shape
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=r,
+                        seed=seed, first_orthant=first_orthant)
+    assert sweep_theta(cfg, grid, 12) == sweep_theta_oracle(cfg, grid, 12)
+
+
+@pytest.mark.parametrize("mode", ["nb", "all"])
+def test_sweep_theta_rejects_bad_grid_and_replicas(mode):
+    cfg = nb_config(mode=mode, box_radius=5)
+    with pytest.raises(ValueError, match="theta"):
+        sweep_theta(cfg, [0.5, 1.1], 5)
+    with pytest.raises(ValueError, match="theta"):
+        sweep_theta(cfg, [-0.1], 5)
+    with pytest.raises(ValueError, match="replicas"):
+        sweep_theta(cfg, [0.5], 0)
+
+
+@pytest.mark.parametrize("q", [1, math.inf])
+@pytest.mark.parametrize("first_orthant", [False, True])
+def test_nb_levels_ties_count_as_not_increasing(q, first_orthant):
+    # quarter-step uniforms and integer distances make exact label ties
+    base = LabelField(5)
+    field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
+    cfg = nb_config(metric=Metric(q), box_radius=6, first_orthant=first_orthant)
+    thetas = [0.0, 0.25, 0.5, 1.0]
+    box = _NbBox.of(cfg)
+    lvl = _nb_levels(box, field, thetas)
+    for k, th in enumerate(thetas):
+        aset = accessible_set(replace(cfg, theta=th), field=field)
+        sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
+        assert sites == set(aset.labels)
+    assert 1 < np.count_nonzero(lvl == 0) < np.count_nonzero(lvl < len(thetas))
+
+
+def test_nb_levels_reject_non_monotone_openness():
+    # at q = 40, (5, 0) -> (5, 1) moves further but keeps the float
+    # distance; U one ulp apart is increasing at theta = 0 and a tie at 1
+    values = {(i, 0): 0.1 + 0.1 * i for i in range(5)}
+    values[(5, 0)] = 0.65
+    values[(5, 1)] = math.nextafter(0.65, 1.0)
+    field = FixedField(values, default=0.01)
+    cfg = nb_config(metric=Metric(40), box_radius=5)
+    with pytest.raises(RuntimeError, match="monotone"):
+        _nb_levels(_NbBox.of(cfg), field, [0.0, 1.0])
 
 
 def test_symmetry_under_reflection():
@@ -331,6 +446,27 @@ def test_min_theta_sweep_nested_sets():
         assert annotated.min_theta[site] == 0.53
     parsed = parse_accessible(export_accessible(annotated, "csv"), "csv")
     assert all(parsed[s][1] in (0.53, 0.62) for s in parsed)
+
+
+@pytest.mark.parametrize(
+    "q, dim, radius, grid",
+    [
+        (1, 2, 20, [0.3, 0.36, 0.42, 0.48]),
+        (2, 2, 25, [0.62, 0.45, 0.5, 0.45, 0.56]),
+        (1.5, 2, 15, [0.0, 0.4, 0.6, 1.0]),
+        (math.inf, 2, 15, [0.3, 0.5, 0.7, 0.9]),
+        (40, 2, 10, [0.2, 0.5, 0.8]),
+        (1, 3, 6, [0.1, 0.25, 0.4]),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_min_theta_export_equals_per_theta_loop(q, dim, radius, grid, fmt):
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=radius,
+                        theta=0.5, seed=17)
+    new = sweep_accessible_min_theta(cfg, grid)
+    old = min_theta_oracle(cfg, grid)
+    assert export_accessible(new, fmt) == export_accessible(old, fmt)
+    assert new.predecessors == old.predecessors
 
 
 def test_config_validation():

@@ -309,6 +309,25 @@ def test_martingale_mean_mismatch_rejected():
         martingale_trace(2.0, 0.3, OffspringDistribution.poisson(3.0), 5, 100)
 
 
+def test_martingale_rejects_bad_sizes():
+    offspring = OffspringDistribution.deterministic(3)
+    with pytest.raises(ValueError, match="replicas"):
+        martingale_trace(3.0, 0.3, offspring, 2, 0)
+    with pytest.raises(ValueError, match="generations"):
+        martingale_trace(3.0, 0.3, offspring, -1, 5)
+
+
+def test_cap_below_one_rejected():
+    offspring = OffspringDistribution.deterministic(2)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="cap"):
+            survival_probability(0.3, offspring, 3, 5, cap=cap)
+        with pytest.raises(ValueError, match="cap"):
+            estimate_theta_c_tree(offspring, [0.2, 0.3], 4, 5, cap=cap)
+        with pytest.raises(ValueError, match="cap"):
+            martingale_trace(2.0, 0.3, offspring, 2, 5, cap=cap)
+
+
 def test_martingale_cap_error():
     with pytest.raises(RuntimeError):
         martingale_trace(
