@@ -246,7 +246,8 @@ class GapCheckReport:
 def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
     """Verify, for every site (a, b) of every brick in ``brick_range``
     with a >= A_q(n), that a unit step right increases the l^q distance by
-    more than 1 - 2*5^q/n^q.  Brick ids must have x >= 2.
+    more than 1 - 2*5^q/n^q.  Brick ids must have x >= 2, and the range
+    must hold at least one.
 
     For q = inf there is no column threshold: below the diagonal the gap
     is exactly 1, so the check uses bound 1 - 2/n^2 at every column.
@@ -272,6 +273,8 @@ def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
             if a >= a_min
             for b in (r0, r0 + 1, r0 + 2)
         ]
+    if not bricks:
+        raise ValueError("the brick range holds no brick with x >= 2")
     ab = np.array(sites, dtype=np.int64).reshape(-1, 2)
     far, near = metric.norm_array(np.stack([ab + (1, 0), ab]))
     gaps = far - near
@@ -321,7 +324,8 @@ def open_implies_increasing_check(
     """Sampled verification that open edges carry increasing RMF labels.
 
     Requires theta in (1 - (5/n)^q, 1) for finite q and in (1 - n^-2, 1)
-    for q = inf.  Horizontal edges are checked in eligible bricks (x >= 2
+    for q = inf, at least one sample and a brick with x >= 2 up to
+    ``x_max``.  Horizontal edges are checked in eligible bricks (x >= 2
     and source column >= A_q(n)); vertical edges are checked everywhere,
     since U_bottom < U_top together with the weakly growing distance
     already forces the labels up.
@@ -334,9 +338,13 @@ def open_implies_increasing_check(
         a_min = compute_A(config)
     if not (lo < theta < 1.0):
         raise ValueError(f"theta must lie in ({lo}, 1) for n={config.n}, q={config.q}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     metric = config.metric
     w = config.window_margin
     ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
+    if not ids:
+        raise ValueError(f"x_max={x_max} gives no brick with x >= 2")
     hor_checked = 0
     ver_checked = 0
     violations = []

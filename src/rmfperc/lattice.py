@@ -2,10 +2,12 @@
 
 A site v is accessible when some lattice path from the origin reaches it
 with strictly increasing labels X = U + theta * ||.||_q.  In
-non-backtracking mode each step must also move strictly further from the
-origin, decided on exact integer ||v||_q^q for integer q.  Since labels
-strictly increase along every edge of the reachability graph, the graph is
-acyclic and a plain breadth-first closure finalises each site exactly once.
+non-backtracking ("nb") mode each step must also move strictly further
+from the origin, decided on exact power keys ||v||_q^q.  One array engine,
+``_levels``, decides accessibility on the whole box for a sorted grid of
+drifts; with one drift it is the plain closure.  Non-backtracking sets are
+nested in theta, so one call serves a whole grid; sets of mode "all" are
+not, so each drift takes its own call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -36,12 +37,13 @@ __all__ = [
     "parse_accessible",
 ]
 
-# guard against runaway memory, in bytes.  The one-pass engine holds the
-# whole box: peaks measured with tracemalloc at q = 1 and 2, dimensions 2-4
-# and 10^4 to 10^6 sites are 85-120 bytes per site while ``_NbBox.of``
-# builds the distances (Python float lists) and 61-81 bytes per site in
-# ``_nb_levels``.  Non-integer q and integer power sums past int64 cost more
-# while the box is built (157 bytes per site at q = 1.5, 303 at q = 40).
+# guard against runaway memory, in bytes.  The engine holds the whole box.
+# tracemalloc peaks per box site at q = 1 and 2, dimensions 2-4 and 10^4 to
+# 10^6 sites: 85-120 bytes while ``_Box.of`` builds the distances (157 at
+# q = 1.5, 303 at q = 40), 61-81 in ``_levels``, 78 for a whole
+# ``crossing_probability`` on a fully reached 2-D box (r = 150, theta = 1).
+# ``accessible_set`` adds Python dicts of the reached sites and peaks at
+# about 300 there, over this budget.
 _BYTES_PER_SITE = 128
 _MAX_BOX_BYTES = 2**32
 
@@ -92,9 +94,9 @@ class LatticeConfig:
 class AccessibleSet:
     """Sites reachable from the origin by an increasing path in the box.
 
-    ``labels`` maps each site to its RMF label and ``predecessors`` to the
-    in-neighbour through which it was first reached (None at the origin),
-    so every membership carries a verifiable increasing witness chain.
+    ``labels`` maps each site to its RMF label and ``predecessors`` to a
+    reached in-neighbour over an open edge (None at the origin), so every
+    membership carries a verifiable increasing witness chain.
     ``min_theta`` is filled by sweeps: the smallest grid drift at which
     the site became accessible.
     """
@@ -130,64 +132,16 @@ def _steps(dimension: int):
     return steps
 
 
-def accessible_set(
-    config: LatticeConfig,
-    field: Optional[LabelField] = None,
-    stop_at_crossing: bool = False,
-) -> AccessibleSet:
+def accessible_set(config: LatticeConfig, field: Optional[LabelField] = None) -> AccessibleSet:
     """Forward reachability closure from the origin.
 
     Edge u -> v exists iff u, v are lattice neighbours inside the box,
     X_u < X_v, and in "nb" mode v is strictly further from the origin
-    under the exact distance comparison.  ``stop_at_crossing`` ends the
-    expansion once any site with ||v||_q >= box_radius is reached (used
-    by crossing-probability estimation).
+    under the exact distance comparison.
     """
     if field is None:
         field = LabelField(config.seed)
-    metric = config.metric
-    theta = config.theta
-    radius = config.box_radius
-    dim = config.dimension
-    nb = config.mode == "nb"
-    steps = _steps(dim)
-
-    origin = (0,) * dim
-    u0 = field.uniform_at(origin)
-    labels = {origin: u0}
-    power_keys = {origin: metric.power_key(origin)}
-    predecessors = {origin: None}
-    frontier_reached = radius <= 0
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        xu = labels[u]
-        pu = power_keys[u]
-        for step in steps:
-            v = tuple(a + b for a, b in zip(u, step))
-            if v in labels:
-                continue
-            if config.first_orthant and any(c < 0 for c in v):
-                continue
-            if any(abs(c) > radius for c in v):
-                continue
-            pv = metric.power_key(v)
-            if nb and not pv > pu:
-                continue
-            nv = metric.norm(v)
-            xv = field.uniform_at(v) + theta * nv
-            if not xv > xu:
-                continue
-            labels[v] = xv
-            power_keys[v] = pv
-            predecessors[v] = u
-            if nv >= radius:
-                frontier_reached = True
-                if stop_at_crossing:
-                    queue.clear()
-                    break
-            queue.append(v)
-    return AccessibleSet(config, labels, predecessors, frontier_reached)
+    return _accessible(config, field, [config.theta])[0]
 
 
 @dataclass(frozen=True)
@@ -210,15 +164,8 @@ def crossing_probability(config: LatticeConfig, replicas: int) -> CrossingEstima
     """Fraction of independent label fields whose accessible set touches
     ||v||_q >= box_radius.  Replica i uses the field derived from
     (config.seed, i)."""
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    base = LabelField(config.seed)
-    crossings = 0
-    for i in range(replicas):
-        field = LabelField(base.key_of((0x6C61, i)))
-        aset = accessible_set(config, field=field, stop_at_crossing=True)
-        crossings += aset.frontier_reached
-    return CrossingEstimate(config, replicas, crossings)
+    crossings = _crossings(config, [config.theta], replicas)
+    return CrossingEstimate(config, replicas, crossings[config.theta])
 
 
 def _checked_grid(theta_grid) -> list:
@@ -246,10 +193,12 @@ def _edge_views(arr: np.ndarray, step: tuple):
 
 
 @dataclass(frozen=True)
-class _NbBox:
-    """Geometry an nb sweep shares across replicas: the box's sites in C
-    order, their distances, the edges that move strictly further from the
-    origin, and the crossing sites (||v||_q >= box_radius)."""
+class _Box:
+    """Geometry shared across label fields: the box's sites in C order,
+    their distances, per step direction the edges a path may take (in
+    "nb" mode those that move strictly further from the origin under exact
+    power keys, in mode "all" every edge), and the crossing sites
+    (||v||_q >= box_radius)."""
 
     coords: np.ndarray
     offset: int
@@ -258,36 +207,41 @@ class _NbBox:
     crossing: np.ndarray
 
     @classmethod
-    def of(cls, config: LatticeConfig) -> "_NbBox":
+    def of(cls, config: LatticeConfig) -> "_Box":
         r, dim = config.box_radius, config.dimension
         offset = 0 if config.first_orthant else r
         shape = (r + 1 + offset,) * dim
         coords = np.indices(shape).reshape(dim, -1).T - offset
-        keys = config.metric.power_key_array(coords).reshape(shape)
-        further = []
-        for step in _steps(dim):
-            ku, kv = _edge_views(keys, step)
-            further.append(kv > ku)
+        if config.mode == "nb":
+            keys = config.metric.power_key_array(coords).reshape(shape)
+            further = [kv > ku for ku, kv in (_edge_views(keys, s) for s in _steps(dim))]
+        else:
+            anywhere = np.ones(shape, dtype=bool)
+            further = [_edge_views(anywhere, s)[0] for s in _steps(dim)]
         norms = config.metric.norm_array(coords).reshape(shape)
         return cls(coords, offset, norms, tuple(further), norms >= r)
 
+    def uniforms(self, field: LabelField) -> np.ndarray:
+        return field.uniform_array(self.coords).reshape(self.norms.shape)
 
-def _nb_levels(box: _NbBox, field: LabelField, thetas: list) -> np.ndarray:
+
+def _levels(box: _Box, u: np.ndarray, thetas: list):
     """For every site of the box, the smallest index k into the sorted
-    distinct drifts ``thetas`` at which the site is accessible in "nb"
-    mode, or K = len(thetas) if it never is.
+    distinct drifts ``thetas`` at which the site is accessible, or K =
+    len(thetas) if it never is; also, per step direction, each edge's
+    level.  ``u`` holds the box's uniforms.
 
-    Edge u -> v is open at theta_k iff it moves strictly further from the
-    origin and fl(U_v + theta_k*n_v) > fl(U_u + theta_k*n_u), the float
-    expression of ``accessible_set``.  Its level is the number of grid
-    drifts at which it is closed; a site's level is the min over paths of
-    the max edge level, relaxed to a fixpoint from the origin.  Raises if
-    an edge's openness is not monotone in theta over the grid.
+    Edge u -> v is open at theta_k iff ``box.further`` allows it and
+    fl(U_v + theta_k*n_v) > fl(U_u + theta_k*n_u).  Its level is the
+    number of grid drifts at which it is closed; a site's level is the min
+    over paths from the origin of the max edge level, relaxed to a
+    fixpoint.  Raises if an edge's openness is not monotone in theta over
+    the grid, as it can be in mode "all", whose sets are not nested in
+    theta and so take one drift per call.
     """
-    shape = box.norms.shape
+    shape = u.shape
     steps = _steps(len(shape))
     dtype = np.min_scalar_type(len(thetas))
-    u = field.uniform_array(box.coords).reshape(shape)
     edges = [np.zeros(f.shape, dtype=dtype) for f in box.further]
     for k, th in enumerate(thetas):
         x = u + th * box.norms
@@ -308,33 +262,76 @@ def _nb_levels(box: _NbBox, field: LabelField, thetas: list) -> np.ndarray:
             lu, lv = _edge_views(lvl, step)
             np.minimum(lv, np.maximum(lu, level), out=lv)
         if np.array_equal(before, lvl):
-            return lvl
+            return lvl, edges
+
+
+def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
+    """The accessible set at drift ``thetas[-1]`` = ``config.theta`` from
+    one ``_levels`` call over the sorted drifts ``thetas`` (one drift, or
+    any grid in "nb" mode), and each site's level, in the set's order.
+
+    A site's predecessor is a reached in-neighbour over an edge open at
+    the last drift, picked by one pass per step direction (a later
+    direction replaces an earlier one); the labels strictly decrease along
+    predecessors, so every chain ends at the origin.
+    """
+    box = _Box.of(config)
+    u = box.uniforms(field)
+    lvl, edges = _levels(box, u, thetas)
+    top = len(thetas) - 1
+    reached = lvl <= top
+    steps = _steps(config.dimension)
+    came_by = np.full(lvl.shape, len(steps), dtype=np.uint8)  # index into moves
+    for d, (step, level) in enumerate(zip(steps, edges)):
+        _edge_views(came_by, step)[1][_edge_views(reached, step)[0] & (level <= top)] = d
+    moves = np.array(steps + [(0,) * config.dimension])
+    at = np.flatnonzero(reached)  # C order: sorted coordinates
+    coords = box.coords[at]
+    came_from = np.searchsorted(
+        at, np.ravel_multi_index((coords - moves[came_by.ravel()[at]] + box.offset).T, lvl.shape)
+    )
+    x = u.ravel()[at] + thetas[-1] * box.norms.ravel()[at]
+    levels = lvl.ravel()[at]
+    frontier_reached = bool(box.crossing.ravel()[at].any())
+    # the site dicts dominate the peak: release the box arrays first
+    del box, u, lvl, edges, reached, came_by, at
+
+    sites = list(zip(*coords.T.tolist()))
+    labels = dict(zip(sites, x.tolist()))
+    predecessors = dict(zip(sites, map(sites.__getitem__, came_from)))
+    predecessors[(0,) * config.dimension] = None  # its zero move pointed at itself
+    return AccessibleSet(config, labels, predecessors, frontier_reached), levels
+
+
+def _crossings(config: LatticeConfig, thetas: list, replicas: int) -> dict:
+    """Per sorted distinct drift, the number of replicas whose accessible
+    set touches ||v||_q >= box_radius.  Replica i uses the field derived
+    from (config.seed, i).  "nb" sets are nested in theta, so one
+    ``_levels`` call per replica decides every drift: the replica crosses
+    at theta_k iff some crossing site has level <= k.  Mode "all" takes
+    one call per drift."""
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
+    box = _Box.of(config)
+    base = LabelField(config.seed)
+    batches = [thetas] if config.mode == "nb" else [[th] for th in thetas]
+    crossings = dict.fromkeys(thetas, 0)
+    for i in range(replicas):
+        u = box.uniforms(LabelField(base.key_of((0x6C61, i))))
+        for batch in batches:
+            lvl, _ = _levels(box, u, batch)
+            for th in batch[lvl[box.crossing].min(initial=len(batch)):]:
+                crossings[th] += 1
+    return crossings
 
 
 def sweep_theta(config: LatticeConfig, theta_grid, replicas: int):
     """Crossing estimate per grid drift, sharing replica fields across the
-    grid.  Returns a list of dicts (theta, crossing, stderr) in grid order.
-
-    In "nb" mode accessible sets are nested in theta, so one ``_nb_levels``
-    pass per replica decides crossing at every grid drift: replica i
-    crosses at theta_k iff some crossing site has level <= k.  Mode "all"
-    runs one closure per grid drift and replica.
-    """
+    grid (and with ``crossing_probability``).  Returns a list of dicts
+    (theta, crossing, stderr) in grid order."""
     grid = _checked_grid(theta_grid)
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    if config.mode == "all":
-        ests = [crossing_probability(replace(config, theta=th), replicas) for th in grid]
-    else:
-        thetas = _distinct_sorted(grid)
-        box = _NbBox.of(config)
-        base = LabelField(config.seed)
-        first = []  # per replica, the first grid index at which it crosses
-        for i in range(replicas):
-            lvl = _nb_levels(box, LabelField(base.key_of((0x6C61, i))), thetas)
-            first.append(int(lvl[box.crossing].min(initial=len(thetas))))
-        crossings = {th: sum(f <= k for f in first) for k, th in enumerate(thetas)}
-        ests = [CrossingEstimate(config, replicas, crossings[th]) for th in grid]
+    crossings = _crossings(config, _distinct_sorted(grid), replicas)
+    ests = [CrossingEstimate(config, replicas, crossings[th]) for th in grid]
     return [
         {"theta": th, "crossing": est.estimate, "stderr": est.stderr}
         for th, est in zip(grid, ests)
@@ -346,8 +343,9 @@ def sweep_accessible_min_theta(config: LatticeConfig, theta_grid) -> AccessibleS
     the smallest grid drift at which it was already accessible (well
     defined in "nb" mode, where sets are nested in theta).
 
-    In "nb" mode one closure at the largest drift supplies labels and
-    witness chains, and ``_nb_levels`` supplies every site's min drift.
+    In "nb" mode one ``_levels`` call over the grid supplies the set at
+    the largest drift and every site's min drift; mode "all" takes one
+    closure per grid drift.
     """
     thetas = _distinct_sorted(_checked_grid(theta_grid))
     if not thetas:
@@ -361,17 +359,8 @@ def sweep_accessible_min_theta(config: LatticeConfig, theta_grid) -> AccessibleS
                 min_theta.setdefault(site, th)
         final.min_theta = min_theta
         return final
-    final = accessible_set(replace(config, theta=thetas[-1]), field=field)
-    box = _NbBox.of(config)
-    lvl = _nb_levels(box, field, thetas)
-    reached = np.argwhere(lvl < len(thetas))
-    levels = lvl[tuple(reached.T)].tolist()
-    min_theta = {
-        tuple(site): thetas[k] for site, k in zip((reached - box.offset).tolist(), levels)
-    }
-    if min_theta.keys() != final.labels.keys():
-        raise RuntimeError("one-pass levels disagree with the closure at the largest drift")
-    final.min_theta = min_theta
+    final, levels = _accessible(replace(config, theta=thetas[-1]), field, thetas)
+    final.min_theta = dict(zip(final.labels, [thetas[k] for k in levels.tolist()]))
     return final
 
 
@@ -417,8 +406,8 @@ def oriented_coupling_check(theta: float, seed: int, box_radius: int) -> Couplin
     confirms every edge used is label-increasing.  Contractually returns
     ok=True; a violation would come with an explicit witness edge.
     """
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
+    LatticeConfig(dimension=2, metric=Metric(1), box_radius=box_radius, theta=theta,
+                  seed=seed, first_orthant=True)  # validates the inputs and the box size
     field = LabelField(seed)
     r = box_radius
     coords = np.stack(np.meshgrid(np.arange(r + 2), np.arange(r + 2), indexing="ij"), axis=-1)

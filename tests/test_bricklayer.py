@@ -292,8 +292,10 @@ def test_distance_gap_exhaustive_scan():
 def distance_gap_oracle(config, brick_range):
     """The scalar double loop: (sites, min gap, violations) from Metric.norm."""
     metric = config.metric
-    a_min = 0 if config.q == math.inf else compute_A(config)
-    bound = distance_gap_check(config, []).bound
+    if config.q == math.inf:
+        a_min, bound = 0, 1.0 - 2.0 * config.n**-2.0
+    else:
+        a_min, bound = compute_A(config), 1.0 - 2.0 * (5.0 / config.n) ** config.q
     sites, min_gap, violations = 0, math.inf, []
     for brick_id in brick_range:
         c0 = int(brick_id.x * config.n)
@@ -316,6 +318,10 @@ def distance_gap_oracle(config, brick_range):
 def test_distance_gap_equals_scalar_loop(n, q, x_max):
     cfg = BrickConfig(n, q)
     ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
+    if not ids:  # x_max < 2: a check of no brick would pass vacuously
+        with pytest.raises(ValueError, match="no brick"):
+            distance_gap_check(cfg, ids)
+        return
     report = distance_gap_check(cfg, ids)
     sites, min_gap, violations = distance_gap_oracle(cfg, ids)
     assert (report.sites_checked, report.min_gap, report.violations) == (
@@ -361,6 +367,16 @@ def test_open_implies_increasing_theta_range():
         open_implies_increasing_check(0.5, BrickConfig(10, math.inf), 5)
     with pytest.raises(ValueError):
         open_implies_increasing_check(0.9, BrickConfig(64, 2.0), 5)
+
+
+@pytest.mark.parametrize("cfg, theta", [(BrickConfig(10, math.inf), 0.995),
+                                        (BrickConfig(64, 2.0), 0.9995)])
+def test_open_implies_increasing_rejects_vacuous_checks(cfg, theta):
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples"):
+            open_implies_increasing_check(theta, cfg, samples)
+    with pytest.raises(ValueError, match="no brick"):
+        open_implies_increasing_check(theta, cfg, 5, x_max=1.5)
 
 
 # --- percolation simulation -----------------------------------------------------------

@@ -203,6 +203,12 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
          "--cap", "0", "--replicas", "5", "--horizon", "3"],
         ["lattice-sweep", "--grid", "0.9:1.2:0.1", "--radius", "10"],
         ["lattice-sweep", "--grid", "0.3:0.4:0.1", "--radius", "10", "--replicas", "0"],
+        ["bricklayer-check", "--theta", "0.9995", "--samples", "0"],
+        ["bricklayer-check", "--theta", "0.9995", "--samples", "-2"],
+        ["bricklayer-check", "--theta", "0.9995", "--x-max", "1.5"],
+        ["bricklayer-check", "--q", "inf", "--theta", "0.9999", "--x-max", "1.5"],
+        ["bricklayer-check", "--radius", "0"],
+        ["bricklayer-check", "--radius", "-3"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):
@@ -212,6 +218,10 @@ def test_bad_sizes_exit_code(tmp_path, args):
 def test_resource_guard_exit_code(tmp_path):
     code, _ = run_cli(["lattice-sim", "--radius", "9999", "--replicas", "1"], tmp_path)
     assert code == 3
+
+
+def test_oversized_coupling_box_exit_code(tmp_path):
+    assert run_cli(["bricklayer-check", "--radius", "6000"], tmp_path) == (3, b"")
 
 
 def test_unknown_subcommand_exit_code():

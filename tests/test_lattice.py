@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rmfperc import (
+    AccessibleSet,
     LabelField,
     LatticeConfig,
     Metric,
@@ -20,7 +22,7 @@ from rmfperc import (
     sweep_accessible_min_theta,
     sweep_theta,
 )
-from rmfperc.lattice import _NbBox, _nb_levels, oriented_reach
+from rmfperc.lattice import CrossingEstimate, _Box, _levels, oriented_reach
 from conftest import FixedField
 
 
@@ -41,15 +43,83 @@ def half_plateau_crossing(rows):
 
 
 class TransformedField:
-    """Wraps a field so every lookup sees transformed coordinates."""
+    """Wraps a field so every lookup sees transformed coordinates;
+    ``transform`` maps an (N, dim) coordinate array."""
 
     def __init__(self, base, transform):
         self.base = base
         self.transform = transform
         self.seed = base.seed
 
-    def uniform_at(self, site):
-        return self.base.uniform_at(self.transform(tuple(site)))
+    def uniform_array(self, coords):
+        return self.base.uniform_array(self.transform(np.asarray(coords)))
+
+
+def closure_oracle(config, field=None):
+    """Breadth-first reference closure from the origin with scalar uniforms,
+    power keys and norms.  Labels strictly increase along every edge, so
+    the reachability graph is acyclic and each site is finalised once;
+    predecessors record the in-neighbour through which a site was first
+    reached."""
+    if field is None:
+        field = LabelField(config.seed)
+    metric = config.metric
+    radius = config.box_radius
+    dim = config.dimension
+    steps = [tuple(d if i == axis else 0 for i in range(dim))
+             for axis in range(dim) for d in (1, -1)]
+    origin = (0,) * dim
+    labels = {origin: field.uniform_at(origin)}
+    power_keys = {origin: metric.power_key(origin)}
+    predecessors = {origin: None}
+    frontier_reached = False
+    queue = deque([origin])
+    while queue:
+        u = queue.popleft()
+        for step in steps:
+            v = tuple(a + b for a, b in zip(u, step))
+            if v in labels:
+                continue
+            if config.first_orthant and any(c < 0 for c in v):
+                continue
+            if any(abs(c) > radius for c in v):
+                continue
+            pv = metric.power_key(v)
+            if config.mode == "nb" and not pv > power_keys[u]:
+                continue
+            nv = metric.norm(v)
+            xv = field.uniform_at(v) + config.theta * nv
+            if not xv > labels[u]:
+                continue
+            labels[v] = xv
+            power_keys[v] = pv
+            predecessors[v] = u
+            frontier_reached |= nv >= radius
+            queue.append(v)
+    return AccessibleSet(config, labels, predecessors, frontier_reached)
+
+
+def assert_witnesses(aset):
+    """Every witness path starts at the origin, takes unit steps and has
+    strictly increasing labels; in "nb" mode its power keys strictly
+    increase too."""
+    cfg = aset.config
+    for site in aset.labels:
+        path = aset.witness_path(site)
+        assert path[0] == (0,) * cfg.dimension and path[-1] == site
+        for u, v in zip(path, path[1:]):
+            assert sum(abs(a - b) for a, b in zip(u, v)) == 1
+            assert aset.labels[v] > aset.labels[u]
+            if cfg.mode == "nb":
+                assert cfg.metric.power_key(v) > cfg.metric.power_key(u)
+
+
+def assert_same_closure(aset, oracle):
+    """Same sites, bit-identical labels, same frontier flag."""
+    assert {s: x.hex() for s, x in aset.labels.items()} == {
+        s: x.hex() for s, x in oracle.labels.items()
+    }
+    assert aset.frontier_reached == oracle.frontier_reached
 
 
 # --- accessible sets -----------------------------------------------------------
@@ -156,6 +226,36 @@ def test_non_integer_metric_exploration():
         assert all(b > a for a, b in zip(powers, powers[1:]))
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([1, 1.5, 2, 3, math.inf, 40]),
+    mode=st.sampled_from(["nb", "all"]),
+    shape=st.sampled_from([(2, 1), (2, 4), (2, 9), (3, 1), (3, 4)]),
+    first_orthant=st.booleans(),
+    theta=st.sampled_from([0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 1.0]),
+    seed=st.integers(0, 10**6),
+)
+def test_accessible_set_equals_closure_oracle(q, mode, shape, first_orthant, theta, seed):
+    dim, r = shape
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r,
+                        theta=theta, seed=seed, first_orthant=first_orthant)
+    aset = accessible_set(cfg)
+    assert_same_closure(aset, closure_oracle(cfg))
+    assert_witnesses(aset)
+
+
+@pytest.mark.parametrize("mode", ["nb", "all"])
+@pytest.mark.parametrize("theta", [0.0, 0.25, 0.5, 1.0])
+def test_accessible_set_ties_count_as_not_increasing(mode, theta):
+    # quarter-step uniforms and integer distances make exact label ties
+    base = LabelField(5)
+    field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
+    cfg = nb_config(mode=mode, box_radius=6, theta=theta)
+    aset = accessible_set(cfg, field=field)
+    assert_same_closure(aset, closure_oracle(cfg, field=field))
+    assert_witnesses(aset)
+
+
 # --- crossing probability -------------------------------------------------------
 
 
@@ -182,7 +282,6 @@ def test_sweep_monotone_and_endpoints():
         assert b["crossing"] >= a["crossing"] - band
 
 
-@pytest.mark.slow
 def test_sweep_pseudo_critical_location_graph_distance():
     cfg = nb_config(box_radius=100, seed=42)
     rows = sweep_theta(cfg, [0.25, 0.28, 0.31, 0.34, 0.37, 0.40, 0.43], 60)
@@ -190,7 +289,6 @@ def test_sweep_pseudo_critical_location_graph_distance():
     assert 0.28 <= crossing <= 0.40
 
 
-@pytest.mark.slow
 def test_sweep_euclidean_all_paths_transition():
     cfg = LatticeConfig(dimension=2, metric=Metric(2), mode="all", box_radius=80,
                         theta=0.5, seed=11)
@@ -200,20 +298,24 @@ def test_sweep_euclidean_all_paths_transition():
 
 
 def sweep_theta_oracle(config, theta_grid, replicas):
-    """One closure per grid drift and replica."""
+    """One reference closure per grid drift and replica."""
+    base = LabelField(config.seed)
+    fields = [LabelField(base.key_of((0x6C61, i))) for i in range(replicas)]
     rows = []
     for th in theta_grid:
-        est = crossing_probability(replace(config, theta=float(th)), replicas)
+        cfg = replace(config, theta=float(th))
+        crossings = sum(closure_oracle(cfg, field=f).frontier_reached for f in fields)
+        est = CrossingEstimate(cfg, replicas, crossings)
         rows.append({"theta": float(th), "crossing": est.estimate, "stderr": est.stderr})
     return rows
 
 
 def min_theta_oracle(config, theta_grid):
-    """The per-drift loop: one closure per sorted grid drift."""
+    """The per-drift loop: one reference closure per sorted grid drift."""
     field = LabelField(config.seed)
     min_theta = {}
     for th in sorted(float(t) for t in theta_grid):
-        final = accessible_set(replace(config, theta=th), field=field)
+        final = closure_oracle(replace(config, theta=th), field=field)
         for site in final.labels:
             min_theta.setdefault(site, th)
     final.min_theta = min_theta
@@ -240,11 +342,11 @@ def test_nb_levels_equal_closure_per_theta(q, shape, first_orthant, grid, seed):
     cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=r,
                         seed=seed, first_orthant=first_orthant)
     thetas = sorted(set(grid))
-    box = _NbBox.of(cfg)
+    box = _Box.of(cfg)
     field = LabelField(seed)
-    lvl = _nb_levels(box, field, thetas)
+    lvl, _ = _levels(box, box.uniforms(field), thetas)
     for k, th in enumerate(thetas):
-        aset = accessible_set(replace(cfg, theta=th), field=field)
+        aset = closure_oracle(replace(cfg, theta=th), field=field)
         sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
         assert sites == set(aset.labels)
 
@@ -252,16 +354,21 @@ def test_nb_levels_equal_closure_per_theta(q, shape, first_orthant, grid, seed):
 @settings(max_examples=15, deadline=None)
 @given(
     q=lattice_q,
+    mode=st.sampled_from(["nb", "all"]),
     shape=st.sampled_from([(2, 2), (2, 6), (3, 3)]),
     first_orthant=st.booleans(),
     grid=theta_grids,
     seed=st.integers(0, 10**6),
 )
-def test_sweep_theta_equals_crossing_probability(q, shape, first_orthant, grid, seed):
+def test_sweep_theta_equals_crossing_probability(q, mode, shape, first_orthant, grid, seed):
     dim, r = shape
-    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=r,
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r,
                         seed=seed, first_orthant=first_orthant)
-    assert sweep_theta(cfg, grid, 12) == sweep_theta_oracle(cfg, grid, 12)
+    rows = sweep_theta(cfg, grid, 12)
+    assert rows == sweep_theta_oracle(cfg, grid, 12)
+    for row in rows:
+        est = crossing_probability(replace(cfg, theta=row["theta"]), 12)
+        assert (row["crossing"], row["stderr"]) == (est.estimate, est.stderr)
 
 
 @pytest.mark.parametrize("mode", ["nb", "all"])
@@ -283,10 +390,10 @@ def test_nb_levels_ties_count_as_not_increasing(q, first_orthant):
     field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
     cfg = nb_config(metric=Metric(q), box_radius=6, first_orthant=first_orthant)
     thetas = [0.0, 0.25, 0.5, 1.0]
-    box = _NbBox.of(cfg)
-    lvl = _nb_levels(box, field, thetas)
+    box = _Box.of(cfg)
+    lvl, _ = _levels(box, box.uniforms(field), thetas)
     for k, th in enumerate(thetas):
-        aset = accessible_set(replace(cfg, theta=th), field=field)
+        aset = closure_oracle(replace(cfg, theta=th), field=field)
         sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
         assert sites == set(aset.labels)
     assert 1 < np.count_nonzero(lvl == 0) < np.count_nonzero(lvl < len(thetas))
@@ -301,7 +408,8 @@ def test_nb_levels_reject_non_monotone_openness():
     field = FixedField(values, default=0.01)
     cfg = nb_config(metric=Metric(40), box_radius=5)
     with pytest.raises(RuntimeError, match="monotone"):
-        _nb_levels(_NbBox.of(cfg), field, [0.0, 1.0])
+        box = _Box.of(cfg)
+        _levels(box, box.uniforms(field), [0.0, 1.0])
 
 
 def test_symmetry_under_reflection():
@@ -311,9 +419,9 @@ def test_symmetry_under_reflection():
     plain, reflected = 0, 0
     for i in range(n):
         field = LabelField(1000 + i)
-        plain += accessible_set(base_cfg, field=field, stop_at_crossing=True).frontier_reached
-        tfield = TransformedField(field, lambda s: (-s[1], s[0]))
-        reflected += accessible_set(base_cfg, field=tfield, stop_at_crossing=True).frontier_reached
+        plain += accessible_set(base_cfg, field=field).frontier_reached
+        tfield = TransformedField(field, lambda c: np.stack([-c[:, 1], c[:, 0]], axis=-1))
+        reflected += accessible_set(base_cfg, field=tfield).frontier_reached
     p1, p2 = plain / n, reflected / n
     band = 3 * math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n + 1e-12)
     assert abs(p1 - p2) <= band + 1e-9
@@ -403,6 +511,16 @@ def test_oriented_coupling_holds_on_samples():
         assert rep.ok and rep.violation is None
 
 
+def test_oriented_coupling_validates_inputs():
+    for radius in (0, -3):
+        with pytest.raises(ValueError, match="box_radius"):
+            oriented_coupling_check(0.5, 1, radius)
+    with pytest.raises(ValueError, match="theta"):
+        oriented_coupling_check(1.5, 1, 10)
+    with pytest.raises(ResourceGuardError):
+        oriented_coupling_check(0.5, 1, 6000)
+
+
 def test_oriented_coupling_trivial_drifts():
     rep0 = oriented_coupling_check(0.0, 3, 50)
     assert rep0.ok and rep0.open_sites == 0 and rep0.cluster_size == 0
@@ -466,7 +584,7 @@ def test_min_theta_export_equals_per_theta_loop(q, dim, radius, grid, fmt):
     new = sweep_accessible_min_theta(cfg, grid)
     old = min_theta_oracle(cfg, grid)
     assert export_accessible(new, fmt) == export_accessible(old, fmt)
-    assert new.predecessors == old.predecessors
+    assert_witnesses(new)
 
 
 def test_config_validation():
