@@ -90,11 +90,21 @@ class BrickConfig:
             raise ValueError(f"q must lie in (1, inf], got {self.q}")
 
     @property
+    def slack(self) -> float:
+        """(5/n)^q, or n^-2 for q = inf: the horizontal window is
+        (margin, 1-margin) with margin 3*slack (slack for q = inf), the
+        drift window of the coupling is (1-slack, 1) and the distance gap
+        bound 1 - 2*slack."""
+        if self.q == math.inf:
+            return self.n ** -2.0
+        return (5.0 / self.n) ** self.q
+
+    @property
     def window_margin(self) -> float:
         """Horizontal edges are open iff U is in (margin, 1-margin)."""
         if self.q == math.inf:
-            return self.n ** -2.0
-        margin = 3.0 * (5.0 / self.n) ** self.q
+            return self.slack
+        margin = 3.0 * self.slack
         if margin >= 0.5:
             raise ValueError(
                 f"openness window is empty for n={self.n}, q={self.q}: "
@@ -136,6 +146,17 @@ def _col0(brick_id: BrickId, n: int) -> int:
     if c.denominator != 1:
         raise ValueError(f"x*n must be integral; got x={brick_id.x}, n={n}")
     return int(c)
+
+
+def _brick_sites(ks, ys, n: int) -> np.ndarray:
+    """Sites of the bricks (k, y) as a (B, 3, n + 1, 2) array: per brick,
+    rows 2y + 0..2, then columns k*n + y*n/2 + 0..n, then (a, b)."""
+    ks, ys = np.broadcast_arrays(np.asarray(ks, dtype=np.int64), np.asarray(ys, dtype=np.int64))
+    if (ys * n % 2).any():
+        raise ValueError(f"x*n must be integral; y*n is odd for some y with n={n}")
+    cols = (ks * n + ys * n // 2)[:, None, None] + np.arange(n + 1)
+    rows = 2 * ys[:, None, None] + np.arange(3)[:, None]
+    return np.stack(np.broadcast_arrays(cols, rows), axis=-1)
 
 
 def brick_build(brick_id: BrickId, config: BrickConfig) -> Brick:
@@ -217,7 +238,7 @@ def compute_A(config: BrickConfig, scan_max: int = _A_SCAN_MAX) -> int:
     if config.n <= 5:
         raise ValueError(f"need n > 5, got {config.n}")
     q = config.q
-    eps = (5.0 / config.n) ** q
+    eps = config.slack
     a = np.arange(1, scan_max + 1, dtype=np.float64)
     # expm1/log1p keep precision when both sides are within 1e-6 of 1
     lhs = np.expm1(np.log1p(q / a) / q)
@@ -243,50 +264,53 @@ class GapCheckReport:
     violations: tuple = ()
 
 
+def _far_sites(config: BrickConfig, brick_range):
+    """Sites of the bricks in ``brick_range`` (see ``_brick_sites``), the
+    distance threshold A_q(n) (0 for q = inf, where no column threshold
+    applies) and the mask of sites with column a >= A_q(n).  Raises
+    unless the range holds bricks, all with x >= 2, and a site at or
+    beyond A_q(n): a check of no site would pass vacuously."""
+    ids = list(brick_range)
+    if not ids:
+        raise ValueError("the brick range holds no brick with x >= 2")
+    near = [b.x for b in ids if b.x < 2]
+    if near:
+        raise ValueError(f"distance gap lemma needs x >= 2, got {near[0]}")
+    sites = _brick_sites([b.k for b in ids], [b.y for b in ids], config.n)
+    a_min = 0 if config.q == math.inf else compute_A(config)
+    far = sites[..., 0] >= a_min
+    if not far.any():
+        raise ValueError(
+            f"no site of the brick range lies at or beyond A_q(n) = {a_min} "
+            f"(last column {int(sites[..., 0].max())})"
+        )
+    return sites, a_min, far
+
+
 def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
     """Verify, for every site (a, b) of every brick in ``brick_range``
     with a >= A_q(n), that a unit step right increases the l^q distance by
     more than 1 - 2*5^q/n^q.  Brick ids must have x >= 2, and the range
-    must hold at least one.
+    must hold at least one site at or beyond A_q(n).
 
     For q = inf there is no column threshold: below the diagonal the gap
     is exactly 1, so the check uses bound 1 - 2/n^2 at every column.
     """
-    metric = config.metric
-    if config.q == math.inf:
-        a_min = 0
-        bound = 1.0 - 2.0 * config.n**-2.0
-    else:
-        a_min = compute_A(config)
-        bound = 1.0 - 2.0 * (5.0 / config.n) ** config.q
-    sites = []
-    bricks = 0
-    for brick_id in brick_range:
-        if brick_id.x < 2:
-            raise ValueError(f"distance gap lemma needs x >= 2, got {brick_id.x}")
-        c0 = _col0(brick_id, config.n)
-        r0 = 2 * brick_id.y
-        bricks += 1
-        sites += [
-            (a, b)
-            for a in range(c0, c0 + config.n + 1)
-            if a >= a_min
-            for b in (r0, r0 + 1, r0 + 2)
-        ]
-    if not bricks:
-        raise ValueError("the brick range holds no brick with x >= 2")
-    ab = np.array(sites, dtype=np.int64).reshape(-1, 2)
-    far, near = metric.norm_array(np.stack([ab + (1, 0), ab]))
-    gaps = far - near
-    bad = np.flatnonzero(~(gaps > bound))
-    violations = [(*sites[i], float(gaps[i])) for i in bad.tolist()]
+    sites, a_min, far = _far_sites(config, brick_range)
+    bound = 1.0 - 2.0 * config.slack
+    # brick, then column, then row
+    ab = sites.transpose(0, 2, 1, 3)[far.transpose(0, 2, 1)]
+    far_norm, near_norm = config.metric.norm_array(np.stack([ab + (1, 0), ab]))
+    gaps = far_norm - near_norm
+    bad = ~(gaps > bound)
+    violations = [(a, b, g) for (a, b), g in zip(ab[bad].tolist(), gaps[bad].tolist())]
     return GapCheckReport(
         ok=not violations,
         config=config,
         threshold=a_min,
-        bricks_checked=bricks,
-        sites_checked=len(sites),
-        min_gap=float(gaps.min(initial=math.inf)),
+        bricks_checked=len(sites),
+        sites_checked=len(ab),
+        min_gap=float(gaps.min()),
         bound=bound,
         violations=tuple(violations),
     )
@@ -325,66 +349,49 @@ def open_implies_increasing_check(
 
     Requires theta in (1 - (5/n)^q, 1) for finite q and in (1 - n^-2, 1)
     for q = inf, at least one sample and a brick with x >= 2 up to
-    ``x_max``.  Horizontal edges are checked in eligible bricks (x >= 2
-    and source column >= A_q(n)); vertical edges are checked everywhere,
-    since U_bottom < U_top together with the weakly growing distance
-    already forces the labels up.
+    ``x_max`` with a site at or beyond A_q(n).  Horizontal edges are
+    checked in eligible bricks (x >= 2 and source column >= A_q(n));
+    vertical edges are checked everywhere, since U_bottom < U_top together
+    with the weakly growing distance already forces the labels up.
+    Violations list, per sample, brick, row and kind ("hor" before
+    "ver"), the first bad source column.
     """
-    if config.q == math.inf:
-        lo = 1.0 - config.n**-2.0
-        a_min = None
-    else:
-        lo = 1.0 - (5.0 / config.n) ** config.q
-        a_min = compute_A(config)
+    lo = 1.0 - config.slack
     if not (lo < theta < 1.0):
         raise ValueError(f"theta must lie in ({lo}, 1) for n={config.n}, q={config.q}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    metric = config.metric
     w = config.window_margin
-    ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
-    if not ids:
-        raise ValueError(f"x_max={x_max} gives no brick with x >= 2")
-    hor_checked = 0
-    ver_checked = 0
+    sites, a_min, far = _far_sites(config, [b for b in _brick_ids_up_to(x_max) if b.x >= 2])
+    dist = config.metric.norm_array(sites)
+    hor_checked = ver_checked = 0
     violations = []
     base = LabelField(seed)
     for s in range(samples):
-        field = LabelField(base.key_of((0x6272, s)))
-        for brick_id in ids:
-            c0 = _col0(brick_id, config.n)
-            r0 = 2 * brick_id.y
-            arange = np.arange(c0, c0 + config.n + 1)
-            for b in (r0, r0 + 1):  # rows carrying horizontal/vertical sources
-                coords = np.stack([arange, np.full_like(arange, b)], axis=-1)
-                u = field.uniform_array(coords)
-                x_lab = u + theta * metric.norm_array(coords)
-                # horizontal edges: sources are all but the last column
-                src = slice(0, config.n)
-                eligible = (u[src] > w) & (u[src] < 1.0 - w)
-                if a_min is not None:
-                    eligible = eligible & (arange[src] >= a_min)
-                bad = eligible & ~(x_lab[1:] > x_lab[:-1])
-                hor_checked += int(eligible.sum())
-                if bad.any():
-                    j = int(np.nonzero(bad)[0][0])
-                    violations.append(("hor", int(arange[j]), b, s))
-                up = np.stack([arange, np.full_like(arange, b + 1)], axis=-1)
-                u_up = field.uniform_array(up)
-                open_v = u < u_up
-                x_up = u_up + theta * metric.norm_array(up)
-                bad = open_v & ~(x_up > x_lab)
-                ver_checked += int(open_v.sum())
-                if bad.any():
-                    j = int(np.nonzero(bad)[0][0])
-                    violations.append(("ver", int(arange[j]), b, s))
+        u = LabelField(base.key_of((0x6272, s))).uniform_array(sites)
+        x = u + theta * dist
+        # edges leave rows 2y and 2y+1: horizontal ones from all but the last
+        # column to the right neighbour, vertical ones to the row above
+        src, x_src = u[:, :2], x[:, :2]
+        hor = np.zeros(src.shape, dtype=bool)
+        hor[..., :-1] = (src[..., :-1] > w) & (src[..., :-1] < 1.0 - w) & far[:, :2, :-1]
+        ver = src < u[:, 1:]
+        hor_checked += int(hor.sum())
+        ver_checked += int(ver.sum())
+        bad = np.stack(
+            [hor & ~(np.roll(x_src, -1, axis=-1) > x_src), ver & ~(x[:, 1:] > x_src)], axis=2
+        )  # (brick, row, kind, column)
+        first = bad.argmax(axis=-1)
+        for i, r, kind in np.argwhere(bad.any(axis=-1)).tolist():
+            col, row = sites[i, r, first[i, r, kind]].tolist()
+            violations.append((("hor", "ver")[kind], col, row, s))
     return ImplicationReport(
         ok=not violations,
         theta=theta,
         samples=samples,
         horizontal_checked=hor_checked,
         vertical_checked=ver_checked,
-        threshold=a_min,
+        threshold=a_min or None,  # None for q = inf
         violations=tuple(violations),
     )
 
@@ -407,28 +414,16 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     good = np.zeros((nk, ny), dtype=bool)
     lcol = np.full((nk, ny), -1, dtype=np.int64)
     rcol = np.full((nk, ny), -1, dtype=np.int64)
-    idx = np.arange(n)
+    lv = slice(n // 4, n // 2)
+    rv = slice(n // 2, 3 * n // 4)
     for y in range(ny):
-        ks = np.arange(0, nk)
-        # x = k + y/2 <= depth  =>  k <= depth - y/2
-        ks = ks[ks + y / 2 <= depth]
-        if not len(ks):
-            continue
-        c0 = ks * n + (y * n) // 2  # x*n = k*n + y*n/2, integral since 2 | n
-        r0 = 2 * y
-        cols = c0[:, None] + idx[None, :]  # (B, n) source columns
-        u_rows = []
-        for db in range(3):
-            coords = np.stack(
-                [cols, np.full_like(cols, r0 + db)], axis=-1
-            ).reshape(-1, 2)
-            u_rows.append(field.uniform_array(coords).reshape(cols.shape))
-        u0, u1, u2 = u_rows
-        hor_ok = ((u0 > w) & (u0 < 1 - w)).all(axis=1) & ((u1 > w) & (u1 < 1 - w)).all(axis=1)
-        lv = slice(n // 4, n // 2)
-        rv = slice(n // 2, 3 * n // 4)
-        lver_open = u0[:, lv] < u1[:, lv]
-        rver_open = u1[:, rv] < u2[:, rv]
+        ks = np.arange(nk - (y + 1) // 2)  # x = k + y/2 <= depth
+        sites = _brick_sites(ks, y, n)[:, :, :n]  # edge sources: all but the last column
+        u = field.uniform_array(sites)
+        hor_ok = ((u[:, :2] > w) & (u[:, :2] < 1 - w)).all(axis=(1, 2))
+        lver_open = u[:, 0, lv] < u[:, 1, lv]
+        rver_open = u[:, 1, rv] < u[:, 2, rv]
+        c0 = sites[:, 0, 0, 0]
         good[ks, y] = hor_ok & lver_open.any(axis=1) & rver_open.any(axis=1)
         lcol[ks, y] = c0 + lv.start + lver_open.argmax(axis=1)
         rcol[ks, y] = c0 + rv.start + rver_open.argmax(axis=1)

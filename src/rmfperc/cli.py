@@ -24,7 +24,6 @@ from .analytic import (
 )
 from .bricklayer import (
     BrickConfig,
-    compute_A,
     distance_gap_check,
     goodness_probability,
     open_implies_increasing_check,
@@ -94,8 +93,8 @@ def _offspring_from_args(args) -> OffspringDistribution:
     if kind == "geometric":
         return OffspringDistribution.geometric(args.m)
     if kind == "binomial":
-        if args.trials is None:
-            raise ValueError("binomial offspring needs --trials")
+        if args.trials is None or args.trials < 1:
+            raise ValueError(f"binomial offspring needs --trials >= 1, got {args.trials}")
         return OffspringDistribution.binomial(args.trials, args.m / args.trials)
     raise ValueError(f"unknown offspring kind {kind!r}")
 
@@ -183,8 +182,6 @@ def _cmd_pathbound(args):
 
 def _cmd_tree_sim(args):
     offspring = _offspring_from_args(args)
-    if args.theta is None and args.grid is None:
-        raise ValueError("tree-sim needs --theta or --grid")
     if args.grid is not None:
         curve = estimate_theta_c_tree(
             offspring, args.grid, args.horizon, args.replicas, cap=args.cap, seed=args.seed
@@ -339,8 +336,8 @@ def _cmd_bricklayer_check(args):
         "seed": args.seed,
     }
     if cfg.q != math.inf:
-        doc["distance_threshold"] = compute_A(cfg)
         gap = distance_gap_check(cfg, ids)
+        doc["distance_threshold"] = gap.threshold
         doc["distance_gap_ok"] = gap.ok
         doc["distance_gap_min"] = gap.min_gap
         doc["distance_gap_bound"] = gap.bound
@@ -392,8 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pathbound)
 
     p = sub.add_parser("tree-sim", help="branching-tree survival probability")
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--grid", type=_parse_grid, default=None, help="lo:hi:step sweep over theta")
+    drift = p.add_mutually_exclusive_group(required=True)
+    drift.add_argument("--theta", type=float)
+    drift.add_argument("--grid", type=_parse_grid, help="lo:hi:step sweep over theta")
     p.add_argument("--m", type=float, required=True, help="offspring mean")
     p.add_argument("--offspring", choices=("deterministic", "poisson", "binomial", "geometric"), default="poisson")
     p.add_argument("--trials", type=int, default=None, help="binomial trial count")

@@ -266,9 +266,11 @@ def _levels(box: _Box, u: np.ndarray, thetas: list):
 
 
 def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
-    """The accessible set at drift ``thetas[-1]`` = ``config.theta`` from
-    one ``_levels`` call over the sorted drifts ``thetas`` (one drift, or
-    any grid in "nb" mode), and each site's level, in the set's order.
+    """The accessible set at drift ``thetas[-1]`` = ``config.theta`` and,
+    in the set's order, each site's smallest index into the sorted
+    distinct drifts ``thetas`` at which it was accessible.  The drifts
+    take the batches of ``_crossings``: one ``_levels`` call in "nb" mode,
+    one per drift in mode "all"; the set is built once, from the last.
 
     A site's predecessor is a reached in-neighbour over an edge open at
     the last drift, picked by one pass per step direction (a later
@@ -277,8 +279,13 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
     """
     box = _Box.of(config)
     u = box.uniforms(field)
-    lvl, edges = _levels(box, u, thetas)
-    top = len(thetas) - 1
+    first = np.full(box.norms.shape, len(thetas), dtype=np.min_scalar_type(len(thetas)))
+    done = 0
+    for batch in [thetas] if config.mode == "nb" else [[th] for th in thetas]:
+        lvl, edges = _levels(box, u, batch)
+        np.minimum(first, done + lvl.astype(first.dtype), out=first, where=lvl < len(batch))
+        done += len(batch)
+    top = len(batch) - 1
     reached = lvl <= top
     steps = _steps(config.dimension)
     came_by = np.full(lvl.shape, len(steps), dtype=np.uint8)  # index into moves
@@ -291,10 +298,10 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
         at, np.ravel_multi_index((coords - moves[came_by.ravel()[at]] + box.offset).T, lvl.shape)
     )
     x = u.ravel()[at] + thetas[-1] * box.norms.ravel()[at]
-    levels = lvl.ravel()[at]
+    levels = first.ravel()[at]
     frontier_reached = bool(box.crossing.ravel()[at].any())
     # the site dicts dominate the peak: release the box arrays first
-    del box, u, lvl, edges, reached, came_by, at
+    del box, u, first, lvl, edges, reached, came_by, at
 
     sites = list(zip(*coords.T.tolist()))
     labels = dict(zip(sites, x.tolist()))
@@ -345,20 +352,12 @@ def sweep_accessible_min_theta(config: LatticeConfig, theta_grid) -> AccessibleS
 
     In "nb" mode one ``_levels`` call over the grid supplies the set at
     the largest drift and every site's min drift; mode "all" takes one
-    closure per grid drift.
+    call per grid drift on the same box and uniforms.
     """
     thetas = _distinct_sorted(_checked_grid(theta_grid))
     if not thetas:
         raise ValueError("theta grid must be nonempty")
     field = LabelField(config.seed)
-    if config.mode == "all":
-        min_theta = {}
-        for th in thetas:
-            final = accessible_set(replace(config, theta=th), field=field)
-            for site in final.labels:
-                min_theta.setdefault(site, th)
-        final.min_theta = min_theta
-        return final
     final, levels = _accessible(replace(config, theta=thetas[-1]), field, thetas)
     final.min_theta = dict(zip(final.labels, [thetas[k] for k in levels.tolist()]))
     return final

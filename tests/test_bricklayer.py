@@ -17,7 +17,7 @@ from rmfperc import (
     open_implies_increasing_check,
     simulate_bricklayer,
 )
-from rmfperc.bricklayer import _brick_ids_up_to
+from rmfperc.bricklayer import _brick_ids_up_to, _brick_sites
 from conftest import FixedField
 
 
@@ -86,6 +86,14 @@ def test_brick_sets_match_enumeration_oracle(x, y, n):
     assert len(brick.hor) == 2 * n
     assert len(brick.lver) == n // 4
     assert len(brick.rver) == n // 4
+    sites = _brick_sites([brick.id.k], [y], n)
+    assert sites.shape == (1, 3, n + 1, 2)
+    assert set(map(tuple, sites.reshape(-1, 2).tolist())) == brick.vertices
+
+
+def test_brick_sites_reject_half_columns():
+    with pytest.raises(ValueError, match="integral"):
+        _brick_sites([0, 0], [0, 1], 5)
 
 
 def test_brick_build_half_offset_example():
@@ -313,7 +321,7 @@ def distance_gap_oracle(config, brick_range):
 @pytest.mark.parametrize(
     "n, q, x_max",
     [(16, 2.0, 6), (64, 2.0, 4), (64, 3.0, 4), (32, 1.5, 4), (8, math.inf, 4), (4, math.inf, 6),
-     (16, 2.0, 1.5)],
+     (16, 2.0, 1.5), (128, 2.0, 4), (2, math.inf, 3)],
 )
 def test_distance_gap_equals_scalar_loop(n, q, x_max):
     cfg = BrickConfig(n, q)
@@ -322,14 +330,20 @@ def test_distance_gap_equals_scalar_loop(n, q, x_max):
         with pytest.raises(ValueError, match="no brick"):
             distance_gap_check(cfg, ids)
         return
-    report = distance_gap_check(cfg, ids)
     sites, min_gap, violations = distance_gap_oracle(cfg, ids)
+    if not sites:  # A_3(64) = 2096 lies past the last column, 320: no site to check
+        with pytest.raises(ValueError, match="beyond A_q"):
+            distance_gap_check(cfg, ids)
+        return
+    report = distance_gap_check(cfg, ids)
     assert (report.sites_checked, report.min_gap, report.violations) == (
         sites, min_gap, violations
     )
     assert report.ok == (not violations)
     if n == 4:  # bricks reach above the diagonal, where a right step keeps the max norm
         assert len(violations) == 27
+    if n == 128:  # A_2(128) = 327 cuts through the bricks at x = 2
+        assert 0 < sites < 3 * (n + 1) * len(ids)
 
 
 def test_distance_gap_rejects_near_origin_bricks():
@@ -377,6 +391,61 @@ def test_open_implies_increasing_rejects_vacuous_checks(cfg, theta):
             open_implies_increasing_check(theta, cfg, samples)
     with pytest.raises(ValueError, match="no brick"):
         open_implies_increasing_check(theta, cfg, 5, x_max=1.5)
+
+
+def implication_oracle(theta, config, samples, seed, x_max):
+    """The per-brick, per-row loop with scalar ``uniform_at`` and
+    ``Metric.norm``: (horizontal checked, vertical checked, violations)."""
+    n, w, metric = config.n, config.window_margin, config.metric
+    a_min = 0 if config.q == math.inf else compute_A(config)
+    ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
+    hor = ver = 0
+    violations = []
+    base = LabelField(seed)
+    for s in range(samples):
+        field = LabelField(base.key_of((0x6272, s)))
+
+        def label(site):
+            return field.uniform_at(site) + theta * metric.norm(site)
+
+        for brick_id in ids:
+            c0, r0 = int(brick_id.x * n), 2 * brick_id.y
+            for b in (r0, r0 + 1):
+                bad_hor, bad_ver = [], []
+                for a in range(c0, c0 + n):
+                    if a >= a_min and w < field.uniform_at((a, b)) < 1.0 - w:
+                        hor += 1
+                        if not label((a + 1, b)) > label((a, b)):
+                            bad_hor.append(a)
+                for a in range(c0, c0 + n + 1):
+                    if field.uniform_at((a, b)) < field.uniform_at((a, b + 1)):
+                        ver += 1
+                        if not label((a, b + 1)) > label((a, b)):
+                            bad_ver.append(a)
+                violations += [(kind, bad[0], b, s) for kind, bad in
+                               (("hor", bad_hor), ("ver", bad_ver)) if bad]
+    return hor, ver, tuple(violations)
+
+
+@pytest.mark.parametrize(
+    "n, q, theta, x_max",
+    [(4, math.inf, 0.97, 6), (16, math.inf, 0.999, 6), (64, 2.0, 0.9995, 4),
+     (128, 1.5, 0.9999, 4), (128, 2.0, 0.9999, 4)],
+)
+def test_open_implies_increasing_equals_scalar_loop(n, q, theta, x_max):
+    cfg = BrickConfig(n, q)
+    rep = open_implies_increasing_check(theta, cfg, 3, seed=7, x_max=x_max)
+    hor, ver, violations = implication_oracle(theta, cfg, 3, 7, x_max)
+    assert (rep.horizontal_checked, rep.vertical_checked, rep.violations) == (hor, ver, violations)
+    assert rep.ok == (not violations)
+    if n == 4:  # a right step above the diagonal keeps the max norm
+        assert violations
+
+
+def test_open_implies_increasing_rejects_range_left_of_threshold():
+    # A_3(64) = 2096, beyond the last column (320) of the bricks with x <= 4
+    with pytest.raises(ValueError, match="beyond A_q"):
+        open_implies_increasing_check(0.9999, BrickConfig(64, 3.0), 5, x_max=4)
 
 
 # --- percolation simulation -----------------------------------------------------------

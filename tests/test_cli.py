@@ -209,6 +209,12 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["bricklayer-check", "--q", "inf", "--theta", "0.9999", "--x-max", "1.5"],
         ["bricklayer-check", "--radius", "0"],
         ["bricklayer-check", "--radius", "-3"],
+        ["bricklayer-check", "--q", "3", "--n-brick", "64", "--radius", "20"],
+        ["tree-sim", "--m", "2", "--offspring", "binomial", "--trials", "0", "--theta", "0.3",
+         "--replicas", "5", "--horizon", "3"],
+        ["tree-martingale", "--m", "2", "--offspring", "binomial", "--trials", "0",
+         "--theta", "0.3", "--replicas", "5"],
+        ["tree-sim", "--m", "2", "--theta", "0.3", "--grid", "0.1:0.2:0.1", "--replicas", "5"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):

@@ -579,12 +579,13 @@ def test_min_theta_sweep_nested_sets():
 )
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_min_theta_export_equals_per_theta_loop(q, dim, radius, grid, fmt):
-    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=radius,
-                        theta=0.5, seed=17)
-    new = sweep_accessible_min_theta(cfg, grid)
-    old = min_theta_oracle(cfg, grid)
-    assert export_accessible(new, fmt) == export_accessible(old, fmt)
-    assert_witnesses(new)
+    for mode in ("nb", "all"):
+        cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=radius,
+                            theta=0.5, seed=17)
+        new = sweep_accessible_min_theta(cfg, grid)
+        old = min_theta_oracle(cfg, grid)
+        assert export_accessible(new, fmt) == export_accessible(old, fmt)
+        assert_witnesses(new)
 
 
 def test_config_validation():
