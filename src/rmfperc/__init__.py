@@ -32,13 +32,10 @@ from .analytic import (
     theta_critical,
 )
 from .tree import (
-    Frontier,
     MartingaleTrace,
     OffspringDistribution,
     estimate_theta_c_tree,
     martingale_trace,
-    root_frontier,
-    step_frontier,
     survival_probability,
 )
 from .lattice import (

@@ -84,6 +84,8 @@ def _parse_grid(text: str) -> list:
 
 def _offspring_from_args(args) -> OffspringDistribution:
     kind = args.offspring
+    if kind != "binomial" and args.trials is not None:
+        raise ValueError(f"--trials applies only to binomial offspring, not {kind}")
     if kind == "deterministic":
         if not float(args.m).is_integer():
             raise ValueError(f"deterministic offspring needs an integer --m, got {args.m}")

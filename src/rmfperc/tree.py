@@ -14,6 +14,7 @@ one-replica-at-a-time runs therefore produce bit-identical uniforms.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -25,12 +26,9 @@ from .core import LabelField
 
 __all__ = [
     "OffspringDistribution",
-    "Frontier",
     "SurvivalEstimate",
     "SurvivalCurve",
     "MartingaleTrace",
-    "root_frontier",
-    "step_frontier",
     "survival_probability",
     "estimate_theta_c_tree",
     "martingale_trace",
@@ -38,10 +36,9 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 
-# replicas per batch; martingale_trace's float sums depend on its chunk,
-# survivor counts do not
-MARTINGALE_CHUNK = 2048
-_SURVIVAL_CHUNK = 4096
+# expected children of one batch step; only live members count, and a
+# single replica, which the cap bounds instead, may pass it
+MEMBER_BUDGET = 250_000
 
 # hash-stream tags; keep tree keys disjoint from raw site keys
 _TREE_TAG = 0x7265_65
@@ -126,30 +123,6 @@ class OffspringDistribution:
         return np.searchsorted(cdf, u, side="left").astype(np.int64)
 
 
-@dataclass
-class Frontier:
-    """Accessible vertices of one replica at a fixed generation: their
-    uniform marks plus the hash keys that make children replayable."""
-
-    generation: int
-    uniforms: np.ndarray
-    keys: np.ndarray
-    truncated: bool = False
-
-    @property
-    def size(self) -> int:
-        return len(self.uniforms)
-
-
-def root_frontier(field: LabelField, replica: int = 0) -> Frontier:
-    key = field.derive_key(field.derive_key(field.key_of(_TREE_TAG), replica), _CHILD_BASE)
-    return Frontier(
-        generation=0,
-        uniforms=np.array([field.uniform_from_key(key)]),
-        keys=np.array([key], dtype=np.uint64),
-    )
-
-
 def _step_arrays(uniforms, keys, theta, offspring, field):
     """One synchronous generation for a flat batch of parents.
 
@@ -168,32 +141,6 @@ def _step_arrays(uniforms, keys, theta, offspring, field):
     child_u = field.uniform_from_key_array(child_keys)
     keep = child_u > uniforms[parent_idx] - theta
     return child_u[keep], child_keys[keep], parent_idx[keep]
-
-
-def step_frontier(
-    frontier: Frontier,
-    theta: float,
-    offspring: OffspringDistribution,
-    field: LabelField,
-    cap: int = DEFAULT_CAP,
-) -> Frontier:
-    """Evolve one replica's frontier by one generation.
-
-    A child with mark u' survives iff u' > u - theta, i.e. iff its full
-    label exceeds the parent's.  If the new frontier would exceed ``cap``
-    it is truncated and flagged.
-    """
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
-    child_u, child_keys, _ = _step_arrays(
-        frontier.uniforms, frontier.keys, theta, offspring, field
-    )
-    truncated = frontier.truncated
-    if len(child_u) > cap:
-        child_u = child_u[:cap]
-        child_keys = child_keys[:cap]
-        truncated = True
-    return Frontier(frontier.generation + 1, child_u, child_keys, truncated)
 
 
 @dataclass(frozen=True)
@@ -217,14 +164,11 @@ class SurvivalEstimate:
 
 
 class _BatchState:
-    """Flat arrays for many replicas evolved in lockstep.  ``replica``
-    holds positions 0..n-1 within the batch and stays sorted; keys derive
-    from the global replica ids, so neither chunking nor group splitting
+    """Flat arrays for a batch of live replicas evolved in lockstep.
+    ``ids`` holds their global replica ids in increasing order and
+    ``replica`` maps each member to its slot in ``ids`` (sorted).  Keys
+    derive from the global ids, so no split of the replicas into batches
     can change any uniform."""
-
-    # bound on children materialised at once; supercritical frontiers are
-    # stepped in replica-contiguous groups of roughly this many members
-    MEMBER_BUDGET = 4_000_000
 
     def __init__(self, field: LabelField, replica_ids: np.ndarray):
         n = len(replica_ids)
@@ -235,90 +179,86 @@ class _BatchState:
         self.keys = field.derive_key_array(rkeys, np.uint64(_CHILD_BASE))
         self.uniforms = field.uniform_from_key_array(self.keys)
         self.replica = np.arange(n, dtype=np.int64)
-        self.n = n
+        self.ids = replica_ids
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.replica, minlength=self.n)
+    def step(self, theta, offspring, field) -> np.ndarray:
+        """One generation for every replica; returns the new frontier sizes."""
+        self.uniforms, self.keys, parent_idx = _step_arrays(
+            self.uniforms, self.keys, theta, offspring, field
+        )
+        self.replica = self.replica[parent_idx]
+        return np.bincount(self.replica, minlength=len(self.ids))
 
-    def drop_replicas(self, dead_mask: np.ndarray):
-        keep = ~dead_mask[self.replica]
-        self.uniforms = self.uniforms[keep]
-        self.keys = self.keys[keep]
-        self.replica = self.replica[keep]
+    def keep(self, mask: np.ndarray):
+        """Drop the replicas whose slot in ``mask`` is False."""
+        members = mask[self.replica]
+        slot = np.cumsum(mask) - 1
+        self.ids = self.ids[mask]
+        self.uniforms = self.uniforms[members]
+        self.keys = self.keys[members]
+        self.replica = slot[self.replica[members]]
 
-    def _group_bounds(self, per_group: int):
-        """Member-index boundaries, aligned to replica boundaries so that
-        each group is a whole number of replicas."""
-        n_members = len(self.uniforms)
-        bounds = [0]
-        i = 0
-        while i < n_members:
-            j = min(i + per_group, n_members)
-            if j < n_members:
-                r = self.replica[j - 1]
-                while j < n_members and self.replica[j] == r:
-                    j += 1
-            bounds.append(j)
-            i = j
-        return bounds
-
-    def step(self, theta, offspring, field, cap=None) -> np.ndarray:
-        """One generation for every live replica.  With ``cap`` given,
-        replicas whose new frontier exceeds it are flagged in the returned
-        mask and their members dropped (their survival is already decided).
-        """
-        capped = np.zeros(self.n, dtype=bool)
-        n_members = len(self.uniforms)
-        if n_members == 0:
-            return capped
-        per_group = max(1, int(self.MEMBER_BUDGET / max(offspring.mean, 1.0)))
-        bounds = self._group_bounds(per_group)
-        new_u, new_k, new_r = [], [], []
-        kept_counts = np.zeros(self.n, dtype=np.int64)
-        for s, e in zip(bounds, bounds[1:]):
-            live = ~capped[self.replica[s:e]]
-            child_u, child_keys, parent_idx = _step_arrays(
-                self.uniforms[s:e][live],
-                self.keys[s:e][live],
-                theta,
-                offspring,
-                field,
-            )
-            child_rep = self.replica[s:e][live][parent_idx]
-            if cap is not None and len(child_rep):
-                kept_counts += np.bincount(child_rep, minlength=self.n)
-                newly = (kept_counts > cap) & ~capped
-                if newly.any():
-                    capped |= newly
-                    keep = ~capped[child_rep]
-                    child_u, child_keys, child_rep = (
-                        child_u[keep],
-                        child_keys[keep],
-                        child_rep[keep],
-                    )
-            new_u.append(child_u)
-            new_k.append(child_keys)
-            new_r.append(child_rep)
-        self.uniforms = np.concatenate(new_u)
-        self.keys = np.concatenate(new_k)
-        self.replica = np.concatenate(new_r)
-        if capped.any():
-            self.drop_replicas(capped)
-        return capped
+    def split(self) -> "_BatchState":
+        """Move the second half of the replicas to a new batch."""
+        first = np.arange(len(self.ids)) < len(self.ids) // 2
+        half = copy.copy(self)
+        half.keep(~first)
+        self.keep(first)
+        return half
 
 
-def _replica_batches(field: LabelField, replicas: int, cap: int, chunk: int):
-    """Yield one fresh batch state per chunk of consecutive replica ids.
+def _histories(theta, offspring, generations, replicas, cap, field, weight=None):
+    """Evolve replicas 0..replicas-1 for ``generations`` generations.
 
-    The chunk shrinks with ``cap`` to keep resting frontiers bounded:
-    replicas can each legitimately grow to ~cap members before being
-    declared survived.
+    Returns ``(extinct_at, capped_at, sums, sizes)``.  Per replica,
+    ``extinct_at`` is the generation at which its frontier emptied and
+    ``capped_at`` the one at which it passed ``cap`` (``generations + 1``
+    for neither); a capped replica stops there.  With ``weight`` given,
+    ``sums`` and ``sizes`` are (replicas, generations + 1) arrays of the
+    frontier sums of ``weight(uniforms)`` and of the frontier sizes (else
+    None).
+
+    Only live members size the batches: before a step, a batch whose
+    children could pass ``MEMBER_BUDGET`` hands half of its replicas to a
+    stack.  Every output is per replica, so the split cannot change it.
     """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0,1], got {theta}")
+    if replicas < 1 or generations < 0:
+        raise ValueError(
+            f"replicas must be >= 1 and generations >= 0, got {replicas} and {generations}"
+        )
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    chunk = min(chunk, max(16, 8 * _BatchState.MEMBER_BUDGET // cap))
-    for start in range(0, replicas, chunk):
-        yield _BatchState(field, np.arange(start, min(start + chunk, replicas)))
+    extinct_at = np.full(replicas, generations + 1)
+    capped_at = np.full(replicas, generations + 1)
+    sums = sizes = None
+    if weight is not None:
+        sums = np.zeros((replicas, generations + 1))
+        sizes = np.zeros((replicas, generations + 1), dtype=np.int64)
+    growth = max(offspring.mean, 1.0)
+    stack = [(0, _BatchState(field, np.arange(replicas)))]
+    while stack:
+        gen, state = stack.pop()
+        while len(state.ids):
+            while len(state.ids) > 1 and len(state.uniforms) * growth > MEMBER_BUDGET:
+                stack.append((gen, state.split()))
+            if weight is not None:
+                n = len(state.ids)
+                sums[state.ids, gen] = np.bincount(
+                    state.replica, weights=weight(state.uniforms), minlength=n
+                )
+                sizes[state.ids, gen] = np.bincount(state.replica, minlength=n)
+            if gen == generations:
+                break
+            counts = state.step(theta, offspring, field)
+            gen += 1
+            capped_at[state.ids[counts > cap]] = gen
+            extinct_at[state.ids[counts == 0]] = gen
+            live = (counts > 0) & (counts <= cap)
+            if not live.all():
+                state.keep(live)
+    return extinct_at, capped_at, sums, sizes
 
 
 def _survivor_counts(theta, offspring, horizons, replicas, cap, field):
@@ -328,25 +268,11 @@ def _survivor_counts(theta, offspring, horizons, replicas, cap, field):
     A replica survives to h when its frontier is nonempty at generation h
     or it hit the cap at or before h.
     """
-    if min(horizons) < 1 or replicas < 1:
-        raise ValueError("horizon_h and replicas must be >= 1")
+    if min(horizons) < 1:
+        raise ValueError("horizon_h must be >= 1")
     last = max(horizons)
-    counts = np.zeros(len(horizons), dtype=np.int64)
-    truncated = 0
-    for state in _replica_batches(field, replicas, cap, _SURVIVAL_CHUNK):
-        extinct_at = np.full(state.n, last + 1)  # generation the frontier emptied
-        alive = np.ones(state.n, dtype=bool)
-        for gen in range(1, last + 1):
-            capped = state.step(theta, offspring, field, cap=cap) & alive
-            truncated += int(capped.sum())
-            alive &= ~capped
-            died = alive & (state.sizes() == 0)
-            extinct_at[died] = gen
-            alive &= ~died
-            if not alive.any():
-                break
-        counts += [int((extinct_at > h).sum()) for h in horizons]
-    return counts.tolist(), truncated
+    extinct_at, capped_at, _, _ = _histories(theta, offspring, last, replicas, cap, field)
+    return [int((extinct_at > h).sum()) for h in horizons], int((capped_at <= last).sum())
 
 
 def survival_probability(
@@ -421,8 +347,6 @@ def estimate_theta_c_tree(
     pathwise.
     """
     thetas = np.asarray(list(theta_grid), dtype=np.float64)
-    if np.any((thetas < 0) | (thetas > 1)):
-        raise ValueError("theta grid must lie within [0,1]")
     field = LabelField(seed)
     ests = np.empty(len(thetas))
     errs = np.empty(len(thetas))
@@ -471,34 +395,21 @@ def martingale_trace(
     Raises if any replica hits the frontier cap, since truncation would
     bias the trace.
     """
-    if replicas < 1 or generations < 0:
-        raise ValueError("replicas must be >= 1 and generations >= 0")
     if abs(offspring.mean - m) > 1e-9 * max(1.0, m):
         raise ValueError(
             f"offspring mean {offspring.mean} does not match m={m}"
         )
     lam = lead_eigenvalue(m, theta)
-    field = LabelField(seed)
-    n_gen = generations + 1
-    w_sum = np.zeros(n_gen)
-    w_sqsum = np.zeros(n_gen)
-    size_sum = np.zeros(n_gen)
-    for state in _replica_batches(field, replicas, cap, MARTINGALE_CHUNK):
-        for gen in range(n_gen):
-            if gen > 0:
-                capped = state.step(theta, offspring, field, cap=cap)
-                if capped.any():
-                    raise RuntimeError(
-                        "frontier cap exceeded; martingale trace would be biased"
-                    )
-            w = np.bincount(
-                state.replica,
-                weights=eigenfunction_eval(m, theta, lam, state.uniforms),
-                minlength=state.n,
-            ) * lam ** (-gen)
-            w_sum[gen] += w.sum()
-            w_sqsum[gen] += (w * w).sum()
-            size_sum[gen] += len(state.uniforms)
+    _, capped_at, sums, sizes = _histories(
+        theta, offspring, generations, replicas, cap, LabelField(seed),
+        weight=lambda u: eigenfunction_eval(m, theta, lam, u),
+    )
+    if (capped_at <= generations).any():
+        raise RuntimeError("frontier cap exceeded; martingale trace would be biased")
+    w = sums * np.array([lam ** (-gen) for gen in range(generations + 1)])
+    # correctly rounded, so independent of replica order and batching
+    w_sum = np.array([math.fsum(col) for col in w.T])
+    w_sqsum = np.array([math.fsum(col) for col in (w * w).T])
     means = w_sum / replicas
     var = np.maximum(w_sqsum - replicas * means**2, 0.0) / max(replicas - 1, 1)
     stderrs = np.sqrt(var / replicas)
@@ -508,6 +419,6 @@ def martingale_trace(
         lam=lam,
         means=means,
         stderrs=stderrs,
-        frontier_means=size_sum / replicas,
+        frontier_means=sizes.sum(axis=0) / replicas,
         replicas=replicas,
     )

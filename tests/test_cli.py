@@ -93,6 +93,20 @@ def test_tree_martingale(tmp_path):
     assert len(lines) == 6
 
 
+def test_tree_martingale_independent_of_unhit_cap(tmp_path):
+    # no replica comes near either cap, so the output must not see it
+    base = ["tree-martingale", "--m", "3", "--theta", "0.3", "--generations", "10",
+            "--replicas", "2000", "--seed", "1"]
+    docs = []
+    for cap in ("1000000", "20000"):
+        code, payload = run_cli(base + ["--cap", cap], tmp_path)
+        assert code == 0
+        doc = json.loads(payload)
+        doc.pop("cap", None)
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_lattice_sim_and_sweep(tmp_path):
     code, payload = run_cli(
         ["lattice-sim", "--theta", "1.0", "--radius", "20", "--replicas", "10"],
@@ -215,6 +229,9 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["tree-martingale", "--m", "2", "--offspring", "binomial", "--trials", "0",
          "--theta", "0.3", "--replicas", "5"],
         ["tree-sim", "--m", "2", "--theta", "0.3", "--grid", "0.1:0.2:0.1", "--replicas", "5"],
+        ["tree-sim", "--m", "2", "--horizon", "5", "--replicas", "5", "--theta", "1.5"],
+        ["tree-sim", "--m", "2", "--horizon", "5", "--replicas", "5", "--theta", "-0.5"],
+        ["tree-sim", "--m", "2", "--offspring", "geometric", "--trials", "3", "--theta", "0.3"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):

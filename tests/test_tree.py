@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
+from oracles import Frontier, root_frontier, step_frontier, survival_oracle
+from rmfperc import tree
 from rmfperc import (
     LabelField,
     OffspringDistribution,
@@ -14,12 +17,9 @@ from rmfperc import (
     m_critical,
     martingale_trace,
     path_increase_upper_bound,
-    root_frontier,
-    step_frontier,
     survival_probability,
     theta_critical,
 )
-from rmfperc.tree import Frontier
 
 
 def fixed_u_frontier(u, n, seed=3):
@@ -133,9 +133,7 @@ def test_single_replica_matches_batched_engine():
     for _ in range(6):
         fr = step_frontier(fr, 0.45, offspring, field)
 
-    from rmfperc.tree import _BatchState
-
-    state = _BatchState(field, np.arange(10))
+    state = tree._BatchState(field, np.arange(10))
     for _ in range(6):
         state.step(0.45, offspring, field)
     batched = np.sort(state.uniforms[state.replica == 4])
@@ -208,6 +206,117 @@ def test_survival_replay_determinism():
 def test_survival_validation():
     with pytest.raises(ValueError):
         survival_probability(0.5, OffspringDistribution.poisson(2.0), 0, 10)
+
+
+@pytest.mark.parametrize(
+    "offspring, pgf, theta",
+    [
+        (OffspringDistribution.deterministic(2), lambda z: z * z, 0.2),
+        (OffspringDistribution.deterministic(2), lambda z: z * z, 0.22),
+        (OffspringDistribution.poisson(2.0), lambda z: np.exp(2.0 * (z - 1.0)), 0.2),
+    ],
+)
+def test_survival_matches_exact_recursion(offspring, pgf, theta):
+    # no replica reaches the default cap here, so the estimate is unbiased
+    exact = survival_oracle(pgf, theta, 50)
+    est = survival_probability(theta, offspring, 50, 20_000, seed=1)
+    assert est.truncated == 0
+    assert abs(est.estimate - exact) < 4 * math.sqrt(exact * (1 - exact) / 20_000)
+
+
+def test_theta_out_of_range_rejected():
+    offspring = OffspringDistribution.deterministic(2)
+    for theta in (-0.5, 1.5):
+        with pytest.raises(ValueError, match="theta"):
+            survival_probability(theta, offspring, 5, 5)
+
+
+def test_batches_do_not_depend_on_cap(monkeypatch):
+    # an unhit cap must not shrink the batches: at the default cap the whole
+    # run steps as one batch, one engine call per generation
+    parents = []
+    step = tree._step_arrays
+
+    def recording(uniforms, *args):
+        parents.append(len(uniforms))
+        return step(uniforms, *args)
+
+    monkeypatch.setattr(tree, "_step_arrays", recording)
+    offspring = OffspringDistribution.deterministic(2)
+    runs = []
+    for cap in (tree.DEFAULT_CAP, 20_000):
+        parents.clear()
+        est = survival_probability(0.2, offspring, 50, 2000, cap=cap, seed=1)
+        assert est.truncated == 0
+        runs.append((est.survivors, list(parents)))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) <= 50
+
+
+_OFFSPRING = [
+    OffspringDistribution.deterministic(2),
+    OffspringDistribution.poisson(1.5),
+    OffspringDistribution.geometric(1.3),
+    OffspringDistribution.binomial(3, 0.6),
+]
+
+
+def _tree_results(theta, offspring, generations, replicas, cap, seed):
+    """Survivor and truncation counts at every horizon, and the martingale
+    trace (None when the cap is hit)."""
+    counts = tree._survivor_counts(
+        theta, offspring, range(1, generations + 1), replicas, cap, LabelField(seed)
+    )
+    try:
+        trace = martingale_trace(
+            offspring.mean, theta, offspring, generations, replicas, cap=cap, seed=seed
+        )
+    except RuntimeError:
+        trace = None
+    return counts, trace
+
+
+def _same_trace(a, b):
+    if a is None or b is None:
+        return a is b
+    return all(
+        np.array_equal(getattr(a, f), getattr(b, f))
+        for f in ("m", "theta", "lam", "means", "stderrs", "frontier_means", "replicas")
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offspring=st.sampled_from(_OFFSPRING),
+    theta=st.sampled_from([0.1, 0.25, 0.45, 0.7, 1.0]),
+    generations=st.integers(1, 7),
+    replicas=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.integers(1, 100), st.integers(1, tree.MEMBER_BUDGET)),
+    data=st.data(),
+)
+def test_results_independent_of_batching_and_unhit_cap(
+    offspring, theta, generations, replicas, seed, budget, data
+):
+    _, _, _, sizes = tree._histories(
+        theta, offspring, generations, replicas, tree.DEFAULT_CAP, LabelField(seed),
+        weight=np.zeros_like,
+    )
+    peak = int(sizes.max())  # no cap >= peak is ever passed
+    unhit = data.draw(st.integers(peak, peak + 100), label="unhit cap")
+    hit = data.draw(st.integers(1, peak - 1), label="hit cap") if peak > 1 else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "MEMBER_BUDGET", budget)
+        b_free = _tree_results(theta, offspring, generations, replicas, unhit, seed)
+        b_hit = hit and _tree_results(theta, offspring, generations, replicas, hit, seed)
+    counts, trace = _tree_results(theta, offspring, generations, replicas, tree.DEFAULT_CAP, seed)
+    assert counts[1] == 0 and trace is not None
+    assert b_free[0] == counts
+    assert _same_trace(b_free[1], trace)
+    if hit:
+        hit_counts, hit_trace = _tree_results(theta, offspring, generations, replicas, hit, seed)
+        assert b_hit[0] == hit_counts and hit_counts[1] > 0
+        assert b_hit[1] is None and hit_trace is None
 
 
 # --- crossing estimation --------------------------------------------------------
@@ -302,6 +411,33 @@ def test_martingale_many_to_one_single_generation():
             eigenfunction_eval(m, theta, lam, np.linspace(lo + 1e-9, 1.0 - 1e-9, 20_001))
         )
         assert abs(per_root - expected) < 3 * se + 1e-3
+
+
+def test_martingale_equals_single_replica_oracle():
+    # per replica W_g from the one-replica frontier, summed in member order;
+    # the trace is the correctly rounded mean over replicas
+    m, theta, generations, replicas, seed = 2.0, 0.4, 6, 60, 9
+    offspring = OffspringDistribution.poisson(m)
+    lam = lead_eigenvalue(m, theta)
+    field = LabelField(seed)
+    w = np.empty((replicas, generations + 1))
+    sizes = np.empty((replicas, generations + 1))
+    for r in range(replicas):
+        fr = root_frontier(field, replica=r)
+        for g in range(generations + 1):
+            if g:
+                fr = step_frontier(fr, theta, offspring, field)
+            f = eigenfunction_eval(m, theta, lam, fr.uniforms)
+            w[r, g] = np.bincount(np.zeros(fr.size, dtype=np.int64), weights=f, minlength=1)[0]
+            w[r, g] *= lam ** (-g)
+            sizes[r, g] = fr.size
+    means = np.array([math.fsum(col) for col in w.T]) / replicas
+    sq = np.array([math.fsum(col) for col in (w * w).T])
+    stderrs = np.sqrt(np.maximum(sq - replicas * means**2, 0.0) / (replicas - 1) / replicas)
+    trace = martingale_trace(m, theta, offspring, generations, replicas, seed=seed)
+    assert np.array_equal(trace.means, means)
+    assert np.array_equal(trace.stderrs, stderrs)
+    assert np.array_equal(trace.frontier_means, sizes.mean(axis=0))
 
 
 def test_martingale_mean_mismatch_rejected():
