@@ -13,7 +13,6 @@ from .core import (
     is_increasing,
     lp_distance,
     rmf_label,
-    uniform_at,
 )
 from .analytic import (
     BoundsReport,

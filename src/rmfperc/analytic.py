@@ -87,34 +87,30 @@ class CriticalPolynomial:
 
     @property
     def coefficients(self) -> np.ndarray:
-        th = float(self.theta)
-        deg = self.degree
-        c = np.empty(deg + 1)
-        for j in range(deg + 1):
-            c[j] = (-1.0) ** j * (1.0 - (j - 1) * th) ** j / math.factorial(j)
-        return c
+        return np.array(_q_coefficients(float(self.theta)))
 
     def __call__(self, x: float) -> float:
         return q_theta_eval(self.theta, x)
 
 
+def _q_coefficients(theta: float) -> list:
+    """Float coefficients of Q_theta in ascending powers."""
+    return [
+        (-1.0) ** j * (1.0 - (j - 1) * theta) ** j / math.factorial(j)
+        for j in range(_floor_one_over(theta) + 2)
+    ]
+
+
 def q_theta_eval(theta: ThetaLike, x) -> float:
     """Q_theta(x) via compensated summation (exact over Fractions)."""
     _check_theta(theta)
-    deg = _floor_one_over(theta) + 1
     if isinstance(theta, Fraction):
         xq = Fraction(x)
         return sum(
             (-xq) ** j * (1 - (j - 1) * theta) ** j / math.factorial(j)
-            for j in range(deg + 1)
+            for j in range(_floor_one_over(theta) + 2)
         )
-    th = float(theta)
-    xf = float(x)
-    terms = [
-        (-xf) ** j * (1.0 - (j - 1) * th) ** j / math.factorial(j)
-        for j in range(deg + 1)
-    ]
-    return math.fsum(terms)
+    return _q_evaluator(float(theta), use_mp=False)(float(x))
 
 
 def _q_evaluator(theta: float, use_mp: bool):
@@ -123,12 +119,8 @@ def _q_evaluator(theta: float, use_mp: bool):
     The float branch pairs each exact-rational-derived coefficient with
     compensated (fsum) accumulation; the mp branch carries enough digits
     to absorb the alternating-sum cancellation, which grows like e^x."""
-    deg = _floor_one_over(theta) + 1
     if not use_mp:
-        coeffs = [
-            (-1.0) ** j * (1.0 - (j - 1) * theta) ** j / math.factorial(j)
-            for j in range(deg + 1)
-        ]
+        coeffs = _q_coefficients(theta)
 
         def f(x: float) -> float:
             xp = 1.0
@@ -147,7 +139,7 @@ def _q_evaluator(theta: float, use_mp: bool):
     th = ctx.mpf(theta)
     coeffs = [
         (-1) ** j * (1 - (j - 1) * th) ** j / ctx.factorial(j)
-        for j in range(deg + 1)
+        for j in range(_floor_one_over(theta) + 2)
     ]
 
     def f(x: float) -> float:
@@ -220,33 +212,22 @@ def m_critical(theta: ThetaLike, method: str = "auto") -> float:
 
 def theta_critical(m: float) -> float:
     """The unique theta with m_critical(theta) = m (m_c is strictly
-    decreasing in theta, so the inverse is well defined for m >= 1)."""
-    if m < 1.0:
+    decreasing in theta, so the inverse is well defined for m >= 1).
+
+    One bracketed root of the monotone m_critical(t) - m on a padded
+    version of the bracket 1/(e*m) <= theta_c(m) <= 1 - sqrt(1 - 1/m);
+    the drift floor is checked before any evaluator is built below it."""
+    if not m >= 1.0:
         raise ValueError(f"theta_critical requires m >= 1, got {m}")
     if m == 1.0:
         return 1.0
     lo = max(1e-3, 0.98 / (math.e * m))
     hi = min(1.0, 1.02 * (1.0 - math.sqrt(1.0 - 1.0 / m)))
-
-    def g(th: float) -> float:
-        return _q_evaluator(th, use_mp=th < _AUTO_MP_THETA)(m)
-
-    # Below theta_c(m) the argument m sits below the minimal root, where
-    # Q > 0; widen the bracket if the initial padding was not enough.
-    while g(lo) <= 0.0 and lo > 1e-3:
-        lo = max(1e-3, lo * 0.8)
-    while g(hi) >= 0.0 and hi < 1.0:
-        hi = min(1.0, hi * 1.1)
-    if g(lo) <= 0.0:
+    if hi <= lo or (lo == 1e-3 and m_critical(lo) <= m):
         raise ValueError(
             f"theta_c({m}) lies below the supported drift floor 1e-3"
         )
-    theta = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    # Guard against landing on a non-minimal root of Q_theta: m must be
-    # the minimal root at the returned theta.
-    if abs(m_critical(theta) - m) > 1e-6 * m:
-        theta = brentq(lambda t: m_critical(t) - m, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    return theta
+    return brentq(lambda t: m_critical(t) - m, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 @dataclass(frozen=True)
@@ -280,16 +261,22 @@ def theta_bounds(m: float, br: Optional[float] = None, compute_exact: bool = Tru
 def path_increase_upper_bound(h: int, theta: ThetaLike):
     """Upper bound (1 + theta*h)^(h+1) / (h+1)! on the probability that one
     fixed path of length h has increasing labels.  Exact over Fractions;
-    log-space in float mode once factorials would overflow."""
+    in float mode log-space wherever the direct form would overflow, and
+    math.inf once even the log form leaves the float range."""
     if h < 0:
         raise ValueError(f"path length must be >= 0, got {h}")
     if isinstance(theta, Fraction):
         return (1 + theta * h) ** (h + 1) / Fraction(math.factorial(h + 1))
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0,1], got {theta}")
-    if h <= 170:
+    try:
         return (1.0 + theta * h) ** (h + 1) / math.factorial(h + 1)
-    return math.exp((h + 1) * math.log1p(theta * h) - math.lgamma(h + 2))
+    except OverflowError:
+        pass
+    try:
+        return math.exp((h + 1) * math.log1p(theta * h) - math.lgamma(h + 2))
+    except OverflowError:
+        return math.inf
 
 
 def out_of_order_bound(n: int, h: int, theta: ThetaLike):
@@ -346,6 +333,14 @@ def cutset_first_moment_bound(depth_counts: dict, theta: float) -> float:
 # eigenfunctions of the increasing-offspring reproduction operator
 
 
+def _check_eigen(m: float, theta: float, lam: float) -> None:
+    if m <= 0:
+        raise ValueError(f"m must be > 0, got {m}")
+    _check_theta(theta)
+    if lam == 0:
+        raise ValueError("lambda must be nonzero")
+
+
 @dataclass(frozen=True)
 class EigenFunction:
     """Piecewise polynomial f_{m,theta,lambda} on [0,1]:
@@ -361,11 +356,7 @@ class EigenFunction:
     lam: float
 
     def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"m must be > 0, got {self.m}")
-        _check_theta(self.theta)
-        if self.lam == 0:
-            raise ValueError("lambda must be nonzero")
+        _check_eigen(self.m, self.theta, self.lam)
 
     @property
     def breakpoints(self) -> np.ndarray:
@@ -381,11 +372,7 @@ class EigenFunction:
 
 def eigenfunction_eval(m: float, theta: float, lam: float, u):
     """Evaluate f_{m,theta,lambda} at u in [0,1] (scalar or array)."""
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
-    _check_theta(theta)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
+    _check_eigen(m, theta, lam)
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
     if np.any((uu < 0) | (uu > 1)):
@@ -409,11 +396,7 @@ def eigenfunction_integral(m: float, theta: float, lam: float) -> float:
 
         sum_{i=0}^{floor(1/theta)} (-m/lambda)^i (1 - i*theta)^(i+1) / (i+1)!
     """
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
-    _check_theta(theta)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
+    _check_eigen(m, theta, lam)
     kmax = _floor_one_over(theta)
     ratio = -m / lam
     terms = []

@@ -225,12 +225,12 @@ def goodness_probability(config: BrickConfig) -> float:
     return horizontal * vertical
 
 
-def compute_A(config: BrickConfig, scan_max: int = _A_SCAN_MAX) -> int:
+def compute_A(config: BrickConfig) -> int:
     """Distance threshold A_q(n): the smallest a0 such that
 
         (1 + q/a)^(1/q) >= 1 + (1 - 5^q/n^q)/a
 
-    holds for every a in [a0, scan_max].  The window is verified rather
+    holds for every a in [a0, _A_SCAN_MAX].  The window is verified rather
     than assuming the inequality is monotone in a.
     """
     if config.q == math.inf:
@@ -239,16 +239,16 @@ def compute_A(config: BrickConfig, scan_max: int = _A_SCAN_MAX) -> int:
         raise ValueError(f"need n > 5, got {config.n}")
     q = config.q
     eps = config.slack
-    a = np.arange(1, scan_max + 1, dtype=np.float64)
+    a = np.arange(1, _A_SCAN_MAX + 1, dtype=np.float64)
     # expm1/log1p keep precision when both sides are within 1e-6 of 1
     lhs = np.expm1(np.log1p(q / a) / q)
     holds = lhs >= (1.0 - eps) / a
     failures = np.nonzero(~holds)[0]
     if len(failures) == len(a):
-        raise RuntimeError(f"inequality never holds for a <= {scan_max}")
+        raise RuntimeError(f"inequality never holds for a <= {_A_SCAN_MAX}")
     a0 = int(failures[-1]) + 2 if len(failures) else 1
-    if a0 > scan_max:
-        raise RuntimeError(f"no threshold found within scan window {scan_max}")
+    if a0 > _A_SCAN_MAX:
+        raise RuntimeError(f"no threshold found within scan window {_A_SCAN_MAX}")
     return a0
 
 
@@ -318,6 +318,8 @@ def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
 
 def _brick_ids_up_to(x_max: float):
     """All bricklayer vertices with x <= x_max, in grid order."""
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
     out = []
     for y in range(0, int(2 * x_max) + 1):
         k = 0

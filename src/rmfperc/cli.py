@@ -20,7 +20,6 @@ from .analytic import (
     m_critical,
     path_increase_upper_bound,
     theta_bounds,
-    theta_critical,
 )
 from .bricklayer import (
     BrickConfig,
@@ -76,7 +75,7 @@ def _parse_grid(text: str) -> list:
         raise argparse.ArgumentTypeError(
             f"grid must look like lo:hi:step, got {text!r}"
         ) from None
-    if step <= 0 or hi < lo:
+    if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad grid bounds {text!r}")
     n = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(n) if lo + i * step <= hi + 1e-12]
@@ -101,19 +100,13 @@ def _offspring_from_args(args) -> OffspringDistribution:
     raise ValueError(f"unknown offspring kind {kind!r}")
 
 
-def _fmt_float(x):
-    return float(f"{x:.17g}")
-
-
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
-        if math.isinf(obj):
-            return "inf"
-        return _fmt_float(float(obj))
+        return "inf" if math.isinf(obj) else float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, np.ndarray):
@@ -153,7 +146,7 @@ def _write(payload: bytes, out) -> None:
 def _cmd_critical(args):
     doc = {
         "command": "critical",
-        "theta": _fmt_float(args.theta),
+        "theta": args.theta,
         "m_c": m_critical(args.theta),
     }
     _emit(doc, args)
@@ -163,8 +156,8 @@ def _cmd_bounds(args):
     report = theta_bounds(args.m, br=args.br)
     doc = {
         "command": "bounds",
-        "m": _fmt_float(args.m),
-        "br": None if args.br is None else _fmt_float(args.br),
+        "m": args.m,
+        "br": args.br,
         "lower": report.lower,
         "upper": report.upper,
         "exact": report.exact,
@@ -176,7 +169,7 @@ def _cmd_pathbound(args):
     doc = {
         "command": "pathbound",
         "h": args.horizon,
-        "theta": _fmt_float(args.theta),
+        "theta": args.theta,
         "bound": path_increase_upper_bound(args.horizon, args.theta),
     }
     _emit(doc, args)
@@ -184,45 +177,36 @@ def _cmd_pathbound(args):
 
 def _cmd_tree_sim(args):
     offspring = _offspring_from_args(args)
+    doc = {
+        "command": "tree-sim",
+        "offspring": args.offspring,
+        "mean": offspring.mean,
+        "horizon": args.horizon,
+        "replicas": args.replicas,
+        "cap": args.cap,
+        "seed": args.seed,
+    }
     if args.grid is not None:
         curve = estimate_theta_c_tree(
             offspring, args.grid, args.horizon, args.replicas, cap=args.cap, seed=args.seed
         )
-        doc = {
-            "command": "tree-sim",
-            "offspring": args.offspring,
-            "mean": _fmt_float(offspring.mean),
-            "horizon": args.horizon,
-            "replicas": args.replicas,
-            "cap": args.cap,
-            "seed": args.seed,
-            "crossing": curve.crossing,
-            "rows": curve.rows(),
-        }
+        doc.update(crossing=curve.crossing, rows=curve.rows())
     else:
         est = survival_probability(
             args.theta, offspring, args.horizon, args.replicas, cap=args.cap, seed=args.seed
         )
-        doc = {
-            "command": "tree-sim",
-            "offspring": args.offspring,
-            "mean": _fmt_float(offspring.mean),
-            "theta": _fmt_float(args.theta),
-            "horizon": args.horizon,
-            "replicas": args.replicas,
-            "cap": args.cap,
-            "seed": args.seed,
-            "survival": est.estimate,
-            "stderr": est.stderr,
-            "truncated_replicas": est.truncated,
-        }
+        doc.update(
+            theta=args.theta,
+            survival=est.estimate,
+            stderr=est.stderr,
+            truncated_replicas=est.truncated,
+        )
     _emit(doc, args)
 
 
 def _cmd_tree_martingale(args):
     offspring = _offspring_from_args(args)
     trace = martingale_trace(
-        offspring.mean,
         args.theta,
         offspring,
         args.generations,
@@ -233,8 +217,8 @@ def _cmd_tree_martingale(args):
     doc = {
         "command": "tree-martingale",
         "offspring": args.offspring,
-        "m": _fmt_float(offspring.mean),
-        "theta": _fmt_float(args.theta),
+        "m": offspring.mean,
+        "theta": args.theta,
         "lambda": trace.lam,
         "replicas": args.replicas,
         "seed": args.seed,
@@ -262,37 +246,32 @@ def _lattice_config(args) -> LatticeConfig:
     )
 
 
+def _lattice_doc(command: str, cfg: LatticeConfig, args) -> dict:
+    """Echo fields shared by the lattice simulation commands."""
+    return {
+        "command": command,
+        "dim": cfg.dimension,
+        "q": cfg.metric.q,
+        "mode": cfg.mode,
+        "radius": cfg.box_radius,
+        "replicas": args.replicas,
+        "seed": cfg.seed,
+    }
+
+
 def _cmd_lattice_sim(args):
     cfg = _lattice_config(args)
     est = crossing_probability(cfg, args.replicas)
-    doc = {
-        "command": "lattice-sim",
-        "dim": cfg.dimension,
-        "q": _fmt_float(cfg.metric.q),
-        "mode": cfg.mode,
-        "radius": cfg.box_radius,
-        "theta": _fmt_float(cfg.theta),
-        "replicas": args.replicas,
-        "seed": cfg.seed,
-        "crossing": est.estimate,
-        "stderr": est.stderr,
-    }
+    doc = _lattice_doc("lattice-sim", cfg, args)
+    doc.update(theta=cfg.theta, crossing=est.estimate, stderr=est.stderr)
     _emit(doc, args)
 
 
 def _cmd_lattice_sweep(args):
     cfg = _lattice_config(args)
     rows = sweep_theta(cfg, args.grid, args.replicas)
-    doc = {
-        "command": "lattice-sweep",
-        "dim": cfg.dimension,
-        "q": _fmt_float(cfg.metric.q),
-        "mode": cfg.mode,
-        "radius": cfg.box_radius,
-        "replicas": args.replicas,
-        "seed": cfg.seed,
-        "rows": rows,
-    }
+    doc = _lattice_doc("lattice-sweep", cfg, args)
+    doc["rows"] = rows
     _emit(doc, args)
 
 
@@ -313,7 +292,7 @@ def _cmd_bricklayer(args):
     doc = {
         "command": "bricklayer",
         "n": cfg.n,
-        "q": _fmt_float(cfg.q),
+        "q": cfg.q,
         "depth": args.depth,
         "replicas": args.replicas,
         "seed": args.seed,
@@ -334,7 +313,7 @@ def _cmd_bricklayer_check(args):
     doc = {
         "command": "bricklayer-check",
         "n": cfg.n,
-        "q": _fmt_float(cfg.q),
+        "q": cfg.q,
         "seed": args.seed,
     }
     if cfg.q != math.inf:
@@ -347,7 +326,7 @@ def _cmd_bricklayer_check(args):
         rep = open_implies_increasing_check(
             args.theta, cfg, args.samples, seed=args.seed, x_max=args.x_max
         )
-        doc["theta"] = _fmt_float(args.theta)
+        doc["theta"] = args.theta
         doc["open_implies_increasing_ok"] = rep.ok
         doc["horizontal_edges_checked"] = rep.horizontal_checked
         doc["vertical_edges_checked"] = rep.vertical_checked

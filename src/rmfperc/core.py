@@ -23,7 +23,6 @@ __all__ = [
     "lp_distance",
     "rmf_label",
     "is_increasing",
-    "uniform_at",
 ]
 
 Site = tuple  # tuple of ints, one entry per lattice dimension
@@ -99,8 +98,6 @@ class Metric:
 
     def norm(self, site: Sequence[int]) -> float:
         if self.q == math.inf:
-            return float(self.power_key(site))
-        if self.q == 1.0:
             return float(self.power_key(site))
         return float(self.power_key(site)) ** (1.0 / self.q)
 
@@ -221,7 +218,3 @@ def is_increasing(labels: Iterable[float]) -> bool:
         prev = x
     return True
 
-
-def uniform_at(field: LabelField, site_or_id) -> float:
-    """Replayable Uniform(0,1) attached to a site or node id."""
-    return field.uniform_at(site_or_id)

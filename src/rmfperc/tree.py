@@ -40,6 +40,9 @@ DEFAULT_CAP = 10**6
 # single replica, which the cap bounds instead, may pass it
 MEMBER_BUDGET = 250_000
 
+# surviving replicas the threshold crossing needs at the full horizon
+MIN_EVENTS = 10
+
 # hash-stream tags; keep tree keys disjoint from raw site keys
 _TREE_TAG = 0x7265_65
 _COUNT_TAG = 0x636E_74
@@ -71,8 +74,8 @@ class OffspringDistribution:
 
     @classmethod
     def poisson(cls, mean: float) -> "OffspringDistribution":
-        if mean <= 0:
-            raise ValueError("poisson mean must be > 0")
+        if not 0 < mean < math.inf:
+            raise ValueError(f"poisson mean must be finite and > 0, got {mean}")
         return cls("poisson", (float(mean),))
 
     @classmethod
@@ -83,8 +86,8 @@ class OffspringDistribution:
 
     @classmethod
     def geometric(cls, mean: float) -> "OffspringDistribution":
-        if mean <= 0:
-            raise ValueError("geometric mean must be > 0")
+        if not 0 < mean < math.inf:
+            raise ValueError(f"geometric mean must be finite and > 0, got {mean}")
         return cls("geometric", (float(mean),))
 
     @property
@@ -281,7 +284,6 @@ def survival_probability(
     horizon_h: int,
     replicas: int,
     cap: int = DEFAULT_CAP,
-    field: Optional[LabelField] = None,
     seed: int = 0,
 ) -> SurvivalEstimate:
     """Fraction of replicas whose frontier is nonempty at ``horizon_h``.
@@ -290,10 +292,8 @@ def survival_probability(
     flagged as truncated (supercritical frontiers explode; stopping them
     early cannot misclassify an extinction).
     """
-    if field is None:
-        field = LabelField(seed)
     (survivors,), truncated = _survivor_counts(
-        theta, offspring, (horizon_h,), replicas, cap, field
+        theta, offspring, (horizon_h,), replicas, cap, LabelField(seed)
     )
     return SurvivalEstimate(
         theta=theta,
@@ -302,7 +302,7 @@ def survival_probability(
         survivors=survivors,
         truncated=truncated,
         cap=cap,
-        seed=field.seed,
+        seed=seed,
     )
 
 
@@ -330,14 +330,13 @@ def estimate_theta_c_tree(
     replicas: int,
     cap: int = DEFAULT_CAP,
     seed: int = 0,
-    min_events: int = 10,
 ) -> SurvivalCurve:
     """Survival estimate per grid point plus a crossing estimate for the
     critical drift.
 
     The crossing is the first grid theta where survival to the full
     horizon is at least half the survival to half the horizon (with at
-    least ``min_events`` surviving replicas).  Subcritically that ratio
+    least ``MIN_EVENTS`` surviving replicas).  Subcritically that ratio
     vanishes geometrically, critically it tends to 1/2 (survival decays
     like 1/h there), and supercritically it tends to 1, so the rule
     brackets the threshold tightly once horizons are long enough.
@@ -361,7 +360,7 @@ def estimate_theta_c_tree(
         ests[i] = p
         errs[i] = math.sqrt(p * (1.0 - p) / replicas)
         halves[i] = s_mid / replicas
-        if crossing is None and s_end >= min_events and s_end >= 0.5 * s_mid:
+        if crossing is None and s_end >= MIN_EVENTS and s_end >= 0.5 * s_mid:
             crossing = float(th)
     return SurvivalCurve(thetas, ests, errs, halves, crossing, horizon_h, replicas)
 
@@ -381,7 +380,6 @@ class MartingaleTrace:
 
 
 def martingale_trace(
-    m: float,
     theta: float,
     offspring: OffspringDistribution,
     generations: int,
@@ -390,15 +388,13 @@ def martingale_trace(
     seed: int = 0,
 ) -> MartingaleTrace:
     """Monte Carlo trace of the additive martingale built from the lead
-    eigenfunction: constant in expectation across generations.
+    eigenfunction, with m the offspring mean: constant in expectation
+    across generations.
 
     Raises if any replica hits the frontier cap, since truncation would
     bias the trace.
     """
-    if abs(offspring.mean - m) > 1e-9 * max(1.0, m):
-        raise ValueError(
-            f"offspring mean {offspring.mean} does not match m={m}"
-        )
+    m = offspring.mean
     lam = lead_eigenvalue(m, theta)
     _, capped_at, sums, sizes = _histories(
         theta, offspring, generations, replicas, cap, LabelField(seed),

@@ -121,7 +121,7 @@ def test_06_telescoping_collapse():
 def test_07_martingale_constancy():
     with criterion(7, "additive martingale constant over 10 generations", 300.0):
         trace = rp.martingale_trace(
-            3.0, 0.3, rp.OffspringDistribution.poisson(3.0),
+            0.3, rp.OffspringDistribution.poisson(3.0),
             generations=10, replicas=100_000, cap=200_000, seed=11,
         )
         for g in range(1, 11):

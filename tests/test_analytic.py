@@ -133,8 +133,26 @@ def test_theta_critical_endpoint_and_bracket():
 
 
 def test_theta_critical_roundtrip():
-    for m in (1.2, 2.0, 3.7, 8.0, 15.0, 31.0):
+    # from m of about 4 on, Q_theta(m) also vanishes at non-minimal roots in theta
+    for m in (1.2, 2.0, 3.7, 5.0, 8.0, 10.0, 15.0, 20.0, 31.0, 50.0):
         assert m_critical(theta_critical(m)) == pytest.approx(m, abs=1e-9)
+
+
+def test_theta_critical_binary_tree_reference():
+    # minimal root of Q_theta(2) = 0 in theta, from a 60-digit mpmath solve
+    reference = 0.21059299650515106215
+    assert abs(theta_critical(2.0) - reference) <= 1e-15 * reference
+
+
+@pytest.mark.parametrize("m", [600.0, 1e300, math.inf])
+def test_theta_critical_below_drift_floor(m):
+    with pytest.raises(ValueError, match="below the supported drift floor 1e-3"):
+        theta_critical(m)
+
+
+def test_theta_critical_rejects_nan():
+    with pytest.raises(ValueError, match="m >= 1"):
+        theta_critical(math.nan)
 
 
 def test_theta_critical_asymptote():
@@ -169,6 +187,15 @@ def test_path_bound_large_h_log_space():
     v = path_increase_upper_bound(500, 1.0 / (2 * math.e))
     assert 0.0 < v < 1e-10
     assert np.isfinite(v)
+
+
+def test_path_bound_overflowing_power_goes_to_log_space():
+    # (1 + 150)^151 passes the float range while the bound is about 1.2e64
+    v = path_increase_upper_bound(150, 1.0)
+    assert math.isfinite(v)
+    log_v = 151 * math.log(151) - math.lgamma(152)
+    assert math.log(v) == pytest.approx(log_v, rel=1e-12)
+    assert path_increase_upper_bound(10_000, 0.5) == math.inf
 
 
 def test_path_bound_monte_carlo_oracle():

@@ -50,6 +50,12 @@ def test_pathbound_subcommand(tmp_path):
     validate("pathbound", payload)
 
 
+def test_pathbound_past_the_float_range(tmp_path):
+    code, payload = run_cli(["pathbound", "--horizon", "10000", "--theta", "0.5"], tmp_path)
+    assert code == 0 and json.loads(payload)["bound"] == "inf"
+    validate("pathbound", payload)
+
+
 def test_tree_sim_replay_byte_identical(tmp_path):
     args = ["tree-sim", "--theta", "0.5", "--m", "2", "--offspring", "poisson",
             "--horizon", "15", "--replicas", "50", "--cap", "2000", "--seed", "5"]
@@ -232,10 +238,20 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["tree-sim", "--m", "2", "--horizon", "5", "--replicas", "5", "--theta", "1.5"],
         ["tree-sim", "--m", "2", "--horizon", "5", "--replicas", "5", "--theta", "-0.5"],
         ["tree-sim", "--m", "2", "--offspring", "geometric", "--trials", "3", "--theta", "0.3"],
+        ["lattice-sweep", "--grid", "0:inf:0.1", "--radius", "5", "--replicas", "1"],
+        ["bricklayer-check", "--x-max", "inf"],
+        ["tree-sim", "--m", "inf", "--offspring", "poisson", "--theta", "0.3",
+         "--replicas", "2", "--horizon", "2"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):
     assert run_cli(args, tmp_path) == (2, b"")
+
+
+@pytest.mark.parametrize("m", ["600", "1e300", "inf"])
+def test_bounds_below_drift_floor_exit_code(tmp_path, capsys, m):
+    assert run_cli(["bounds", "--m", m], tmp_path) == (2, b"")
+    assert "below the supported drift floor 1e-3" in capsys.readouterr().err
 
 
 def test_resource_guard_exit_code(tmp_path):

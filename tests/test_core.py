@@ -11,7 +11,6 @@ from rmfperc import (
     is_increasing,
     lp_distance,
     rmf_label,
-    uniform_at,
 )
 from conftest import FixedField
 
@@ -181,8 +180,8 @@ def test_uniform_determinism_and_range():
     field = LabelField(123)
     ids = [(0, 0), (1, -5), (2, 3, 4), 17]
     for i in ids:
-        first = uniform_at(field, i)
-        assert first == uniform_at(field, i)
+        first = field.uniform_at(i)
+        assert first == field.uniform_at(i)
         assert 0.0 < first < 1.0
 
 

@@ -269,7 +269,7 @@ def _tree_results(theta, offspring, generations, replicas, cap, seed):
     )
     try:
         trace = martingale_trace(
-            offspring.mean, theta, offspring, generations, replicas, cap=cap, seed=seed
+            theta, offspring, generations, replicas, cap=cap, seed=seed
         )
     except RuntimeError:
         trace = None
@@ -378,7 +378,7 @@ def test_martingale_generation_zero_mean():
     m, theta = 3.0, 0.3
     lam = lead_eigenvalue(m, theta)
     trace = martingale_trace(
-        m, theta, OffspringDistribution.poisson(3.0), 3, 20_000, cap=100_000, seed=6
+        theta, OffspringDistribution.poisson(3.0), 3, 20_000, cap=100_000, seed=6
     )
     assert trace.lam == pytest.approx(lam)
     assert abs(trace.means[0] - lam / m) < 3 * trace.stderrs[0]
@@ -386,7 +386,7 @@ def test_martingale_generation_zero_mean():
 
 def test_martingale_constant_mean_short():
     trace = martingale_trace(
-        2.0, 0.4, OffspringDistribution.deterministic(2), 6, 20_000, cap=100_000, seed=14
+        0.4, OffspringDistribution.deterministic(2), 6, 20_000, cap=100_000, seed=14
     )
     for g in range(1, 7):
         band = 3 * math.sqrt(trace.stderrs[g] ** 2 + trace.stderrs[0] ** 2)
@@ -434,23 +434,18 @@ def test_martingale_equals_single_replica_oracle():
     means = np.array([math.fsum(col) for col in w.T]) / replicas
     sq = np.array([math.fsum(col) for col in (w * w).T])
     stderrs = np.sqrt(np.maximum(sq - replicas * means**2, 0.0) / (replicas - 1) / replicas)
-    trace = martingale_trace(m, theta, offspring, generations, replicas, seed=seed)
+    trace = martingale_trace(theta, offspring, generations, replicas, seed=seed)
     assert np.array_equal(trace.means, means)
     assert np.array_equal(trace.stderrs, stderrs)
     assert np.array_equal(trace.frontier_means, sizes.mean(axis=0))
 
 
-def test_martingale_mean_mismatch_rejected():
-    with pytest.raises(ValueError):
-        martingale_trace(2.0, 0.3, OffspringDistribution.poisson(3.0), 5, 100)
-
-
 def test_martingale_rejects_bad_sizes():
     offspring = OffspringDistribution.deterministic(3)
     with pytest.raises(ValueError, match="replicas"):
-        martingale_trace(3.0, 0.3, offspring, 2, 0)
+        martingale_trace(0.3, offspring, 2, 0)
     with pytest.raises(ValueError, match="generations"):
-        martingale_trace(3.0, 0.3, offspring, -1, 5)
+        martingale_trace(0.3, offspring, -1, 5)
 
 
 def test_cap_below_one_rejected():
@@ -461,11 +456,11 @@ def test_cap_below_one_rejected():
         with pytest.raises(ValueError, match="cap"):
             estimate_theta_c_tree(offspring, [0.2, 0.3], 4, 5, cap=cap)
         with pytest.raises(ValueError, match="cap"):
-            martingale_trace(2.0, 0.3, offspring, 2, 5, cap=cap)
+            martingale_trace(0.3, offspring, 2, 5, cap=cap)
 
 
 def test_martingale_cap_error():
     with pytest.raises(RuntimeError):
         martingale_trace(
-            3.0, 0.9, OffspringDistribution.deterministic(3), 12, 50, cap=200, seed=4
+            0.9, OffspringDistribution.deterministic(3), 12, 50, cap=200, seed=4
         )
