@@ -46,14 +46,6 @@ __all__ = [
 
 ThetaLike = Union[float, Fraction]
 
-# Hard floor for the explicit float64 backend (degree <= 51).
-FLOAT_THETA_FLOOR = 0.02
-# Where "auto" hands over to the high-precision backend.  Near its minimal
-# root Q_theta lives on an exponentially small scale (~e^-2m) while its
-# largest term grows like e^m, so float64 root error scales like
-# eps * e^(2 m_c); keeping m_c <= ~5 (theta >= 0.08) holds that below 1e-11.
-_AUTO_MP_THETA = 0.08
-
 
 def _floor_one_over(theta: ThetaLike) -> int:
     """floor(1/theta) with a 1e-14 relative guard band against misclassifying
@@ -87,22 +79,16 @@ class CriticalPolynomial:
 
     @property
     def coefficients(self) -> np.ndarray:
-        return np.array(_q_coefficients(float(self.theta)))
+        descending, _ = _q_evaluator(float(self.theta))
+        return np.array([float(c) for c in reversed(descending)])
 
     def __call__(self, x: float) -> float:
         return q_theta_eval(self.theta, x)
 
 
-def _q_coefficients(theta: float) -> list:
-    """Float coefficients of Q_theta in ascending powers."""
-    return [
-        (-1.0) ** j * (1.0 - (j - 1) * theta) ** j / math.factorial(j)
-        for j in range(_floor_one_over(theta) + 2)
-    ]
-
-
 def q_theta_eval(theta: ThetaLike, x) -> float:
-    """Q_theta(x) via compensated summation (exact over Fractions)."""
+    """Q_theta(x), rounded once from the high-precision evaluator (exact
+    over Fractions)."""
     _check_theta(theta)
     if isinstance(theta, Fraction):
         xq = Fraction(x)
@@ -110,104 +96,65 @@ def q_theta_eval(theta: ThetaLike, x) -> float:
             (-xq) ** j * (1 - (j - 1) * theta) ** j / math.factorial(j)
             for j in range(_floor_one_over(theta) + 2)
         )
-    return _q_evaluator(float(theta), use_mp=False)(float(x))
+    _, q = _q_evaluator(float(theta))
+    return float(q(float(x)))
 
 
-def _q_evaluator(theta: float, use_mp: bool):
-    """Fixed-theta evaluator of Q_theta with coefficients computed once.
+def _q_evaluator(theta: float):
+    """Q_theta at fixed theta in mpmath: (descending coefficients, q), where
+    q(x) returns the unrounded mp value.
 
-    The float branch pairs each exact-rational-derived coefficient with
-    compensated (fsum) accumulation; the mp branch carries enough digits
-    to absorb the alternating-sum cancellation, which grows like e^x."""
-    if not use_mp:
-        coeffs = _q_coefficients(theta)
-
-        def f(x: float) -> float:
-            xp = 1.0
-            terms = []
-            for c in coeffs:
-                terms.append(c * xp)
-                xp *= x
-            return math.fsum(terms)
-
-        return f
-
-    # cloned context: global mpmath precision is never touched, so the
-    # evaluator stays reentrant
+    The digits (30 + 0.9/theta) absorb the alternating-sum cancellation:
+    the largest term grows like e^x while Q_theta near its minimal root is
+    exponentially small.  The context is a clone, so global mpmath
+    precision is never touched and the evaluator stays reentrant."""
     ctx = mpmath.mp.clone()
     ctx.dps = 30 + int(0.9 / theta)
     th = ctx.mpf(theta)
     coeffs = [
         (-1) ** j * (1 - (j - 1) * th) ** j / ctx.factorial(j)
-        for j in range(_floor_one_over(theta) + 2)
+        for j in range(_floor_one_over(theta) + 1, -1, -1)
     ]
-
-    def f(x: float) -> float:
-        xm = ctx.mpf(x)
-        xp = ctx.mpf(1)
-        total = ctx.mpf(0)
-        for c in coeffs:
-            total += c * xp
-            xp *= xm
-        return float(total)
-
-    return f
+    return coeffs, lambda x: ctx.polyval(coeffs, ctx.mpf(x))
 
 
-def _first_root(f, grid: np.ndarray) -> Optional[float]:
-    """First sign change of f along an increasing grid, polished by brentq.
-    Assumes f starts positive; returns None if no crossing is found."""
-    prev_x = grid[0]
-    prev_v = f(prev_x)
-    if prev_v == 0.0:
-        return float(prev_x)
-    for x in grid[1:]:
-        v = f(x)
-        if v == 0.0:
-            return float(x)
-        if prev_v > 0.0 > v:
-            return brentq(f, prev_x, x, xtol=1e-14, rtol=1e-15)
-        prev_x, prev_v = x, v
-    return None
-
-
-def m_critical(theta: ThetaLike, method: str = "auto") -> float:
+def m_critical(theta: ThetaLike) -> float:
     """Minimal root of Q_theta(m) = 0; the critical offspring mean.
 
-    Located by a sign-change scan upward from m = 1 followed by bracketed
-    root polishing.  ``method`` selects the evaluation backend: "float"
-    (compensated float64, requires theta >= 0.02), "mp" (arbitrary
-    precision) or "auto".
-    """
+    The walk starts at the proven lower bound m_c >= 1/(e*theta) (and
+    m_c >= 1), where Q_theta is positive, and climbs in steps of theta/2,
+    shorter than the ~5*theta spacing of the real roots near m_c, up to
+    the first point with Q_theta <= 0; brentq polishes the one root of
+    that cell on the mp value scaled by 2^-mag(Q_theta(start)), so no
+    value underflows the float range.  The walk gives up at
+    1.03/(theta*(2-theta)), above the upper bound on m_c."""
     _check_theta(theta)
     th = float(theta)
-    if method not in ("auto", "float", "mp"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "float" and th < FLOAT_THETA_FLOOR:
-        raise ValueError(
-            f"theta={th} is below the float-precision floor {FLOAT_THETA_FLOOR}; "
-            "alternating-sum cancellation would corrupt the root. "
-            "Use method='mp' (or 'auto')."
-        )
-    if method == "auto":
-        method = "float" if th >= _AUTO_MP_THETA else "mp"
     if th < 1e-3:
         raise ValueError(f"theta={th} below supported floor 1e-3")
-
-    f = _q_evaluator(th, use_mp=method == "mp")
-    if method == "float":
-        root = _first_root(f, np.arange(1.0, 4.0 / th + 0.01, 0.01))
-    else:
-        # m_c lies in [1/(e*theta), 1/(theta*(2-theta))]; scan a padded
-        # version of that bracket, falling back to a full scan if needed
-        lo = max(1.0, 0.97 / (math.e * th))
-        hi = 1.03 / (th * (2.0 - th))
-        root = _first_root(f, np.linspace(lo, hi, 257))
-        if root is None:
-            root = _first_root(f, np.linspace(1.0, 4.0 / th, 2049))
-    if root is None:
-        raise RuntimeError(f"no sign change of Q_theta found for theta={th}")
-    return root
+    _, q = _q_evaluator(th)
+    lo = max(1.0, 1.0 / (math.e * th))
+    q_start = q(lo)
+    if q_start < 0:
+        raise RuntimeError(f"Q_theta < 0 at the lower bound m={lo} for theta={th}")
+    if q_start == 0:
+        return lo
+    hi = 1.03 / (th * (2.0 - th))
+    while True:
+        x = min(lo + th / 2.0, hi)
+        q_x = q(x)
+        if q_x <= 0:
+            break
+        if x == hi:
+            raise RuntimeError(f"no sign change of Q_theta up to m={hi} for theta={th}")
+        lo = x
+    if q_x == 0:
+        return x
+    # the relative tolerance, scipy's floor of 4 eps, is the binding one
+    shift = -mpmath.mag(q_start)
+    return brentq(
+        lambda m: float(mpmath.ldexp(q(m), shift)), lo, x, xtol=1e-300, rtol=8.9e-16
+    )
 
 
 def theta_critical(m: float) -> float:
@@ -232,30 +179,29 @@ def theta_critical(m: float) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Closed-form bracket (and optional exact value) for theta_c(m)."""
+    """Closed-form bracket and exact value of theta_c(m)."""
 
     m: float
     lower: float
     upper: float
-    exact: Optional[float] = None
+    exact: float
     br: Optional[float] = None
 
 
-def theta_bounds(m: float, br: Optional[float] = None, compute_exact: bool = True) -> BoundsReport:
-    """Bracket for the critical drift of a mean-m branching tree:
-    1/(e*m) <= theta_c(m) <= 1 - sqrt(1 - 1/m).
+def theta_bounds(m: float, br: Optional[float] = None) -> BoundsReport:
+    """Bracket for the critical drift of a mean-m branching tree,
+    1/(e*m) <= theta_c(m) <= 1 - sqrt(1 - 1/m), and its exact value.
 
     With ``br`` given, the lower bound is the general-tree form 1/(e*br T)
     based on the branching number instead.
     """
     if not m > 1.0:
         raise ValueError(f"theta_bounds requires m > 1, got {m}")
-    if br is not None and br < 1.0:
-        raise ValueError(f"branching number must be >= 1, got {br}")
+    if br is not None and not 1.0 <= br < math.inf:
+        raise ValueError(f"branching number must be finite and >= 1, got {br}")
     lower = 1.0 / (math.e * (br if br is not None else m))
     upper = 1.0 - math.sqrt(1.0 - 1.0 / m)
-    exact = theta_critical(m) if compute_exact else None
-    return BoundsReport(m=m, lower=lower, upper=upper, exact=exact, br=br)
+    return BoundsReport(m=m, lower=lower, upper=upper, exact=theta_critical(m), br=br)
 
 
 def path_increase_upper_bound(h: int, theta: ThetaLike):

@@ -525,7 +525,6 @@ def simulate_bricklayer(
     replicas: int,
     seed: int = 0,
     keep_records: bool = False,
-    field_factory=None,
 ) -> BricklayerResult:
     """Frequency of replicas with a directed path of good bricks from
     (0, 0) out to x >= depth.
@@ -541,8 +540,6 @@ def simulate_bricklayer(
     if config.n % 4 != 0:
         raise ValueError(f"bricks need n divisible by 4, got {config.n}")
     base = LabelField(seed)
-    if field_factory is None:
-        field_factory = lambda r: LabelField(base.key_of((0x626C, r)))
     percolating = 0
     verified = 0
     good_sum = 0
@@ -553,7 +550,7 @@ def simulate_bricklayer(
     valid = ks[:, None] + ys[None, :] / 2 <= depth
     far = ks[:, None] + ys[None, :] / 2 >= depth
     for r in range(replicas):
-        field = field_factory(r)
+        field = LabelField(base.key_of((0x626C, r)))
         good, lcol, rcol = _goodness_grid(field, config, depth)
         good_sum += int(good[valid].sum())
         brick_sum += int(valid.sum())

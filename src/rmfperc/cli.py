@@ -57,9 +57,12 @@ EXIT_RESOURCE = 3
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    if env is None:
+        return DEFAULT_SEED
+    try:
         return int(env)
-    return DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _parse_q(text: str) -> float:
@@ -442,13 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        args.func(args)
     except SystemExit as exc:
         return EXIT_PARAM if exc.code not in (0, None) else 0
-    try:
-        args.func(args)
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

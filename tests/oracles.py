@@ -1,12 +1,17 @@
-"""Single-replica reference for the tree engine.
+"""Slow references for the tests.
 
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
 ``rmfperc.tree``, so the tests can compare the two replica by replica.
+``survival_oracle`` integrates the survival recursion on a grid, and
+``minimal_root_oracle`` finds the minimal root of Q_theta by a fine scan.
 """
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 from rmfperc.core import LabelField
@@ -80,3 +85,41 @@ def survival_oracle(pgf, theta: float, horizon: int, points: int = 20_000) -> fl
         tail = np.append(np.cumsum(s[::-1])[::-1], 0.0) / points  # int_{edges[k]}^1 s
         s = 1.0 - pgf(1.0 - np.interp(np.maximum(u - theta, 0.0), edges, tail))
     return float(s.mean())
+
+
+def minimal_root_oracle(theta: float) -> float:
+    """Minimal root of Q_theta(x) = sum_j (-x)^j (1-(j-1)theta)^j / j!, the
+    slow way, rounded to the nearest float.
+
+    Q_theta is summed term by term at 60 + 1.5/theta digits and scanned in
+    steps of theta/20, a quarter of the ~5*theta spacing of its real roots
+    near the minimal one, up from the proven lower bound
+    max(1, 1/(e*theta)); mpmath's bracketed solver then finds the root in
+    the first cell where Q_theta is no longer positive.
+    """
+    ctx = mpmath.mp.clone()
+    ctx.dps = 60 + int(1.5 / theta)
+    th = ctx.mpf(theta)
+    degree = math.floor(1 / Fraction(theta)) + 1
+    coeffs = [(-1) ** j * (1 - (j - 1) * th) ** j / ctx.factorial(j) for j in range(degree + 1)]
+
+    def q(x):
+        terms, xp = [], ctx.mpf(1)
+        for c in coeffs:
+            terms.append(c * xp)
+            xp *= x
+        return ctx.fsum(terms)
+
+    x = ctx.mpf(max(1.0, 1.0 / (math.e * theta)))
+    q_x = q(x)
+    assert q_x >= 0, f"Q_theta < 0 at the lower bound for theta={theta}"
+    if q_x == 0:
+        return float(x)
+    step = th / 20
+    while q(x + step) > 0:
+        x += step
+        assert x < 4 / th, f"no sign change of Q_theta for theta={theta}"
+    if q(x + step) == 0:
+        return float(x + step)
+    scale = 1 / abs(q_x)
+    return float(ctx.findroot(lambda m: q(m) * scale, (x, x + step), solver="anderson"))

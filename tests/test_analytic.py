@@ -21,6 +21,7 @@ from rmfperc import (
     theta_bounds,
     theta_critical,
 )
+from oracles import minimal_root_oracle
 
 
 def closed_form_mc(theta):
@@ -101,20 +102,21 @@ def test_m_critical_strictly_decreasing():
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_m_critical_float_floor():
-    with pytest.raises(ValueError):
-        m_critical(0.01, method="float")
-    # auto path handles the same drift via high precision
+def test_m_critical_drift_floor():
     assert m_critical(0.01) > 1.0
-    with pytest.raises(ValueError):
-        m_critical(0.3, method="newton")
+    assert m_critical(1e-3) >= 1.0 / (math.e * 1e-3)
+    with pytest.raises(ValueError, match="below supported floor 1e-3"):
+        m_critical(9e-4)
 
 
-def test_m_critical_backends_agree():
-    for theta in (0.09, 0.2, 0.45, 0.8):
-        assert m_critical(theta, method="float") == pytest.approx(
-            m_critical(theta, method="mp"), abs=1e-11
-        )
+@pytest.mark.parametrize(
+    "theta", [0.0012, 0.003, 0.002879, 0.0043507, 0.08, 0.0837, 0.21, 0.5, 0.75, 1.0]
+)
+def test_m_critical_matches_minimal_root_oracle(theta):
+    # below theta ~ 0.005 Q_theta has real roots ~5*theta apart next to the
+    # minimal one, and near 0.0028790 four of them within 0.1
+    expected = minimal_root_oracle(theta)
+    assert abs(m_critical(theta) - expected) <= math.ulp(expected)
 
 
 def test_q_theta_exact_rational():
@@ -133,7 +135,8 @@ def test_theta_critical_endpoint_and_bracket():
 
 
 def test_theta_critical_roundtrip():
-    # from m of about 4 on, Q_theta(m) also vanishes at non-minimal roots in theta
+    # theta_critical is one bracketed root of m_critical(t) - m, so the
+    # round trip is as accurate as m_critical itself
     for m in (1.2, 2.0, 3.7, 5.0, 8.0, 10.0, 15.0, 20.0, 31.0, 50.0):
         assert m_critical(theta_critical(m)) == pytest.approx(m, abs=1e-9)
 
@@ -165,9 +168,11 @@ def test_theta_bounds_values():
     assert rep.upper == pytest.approx(0.29289, abs=1e-5)
     assert rep.lower <= rep.exact <= rep.upper
     # upper bound tends to 1 as m drops to 1
-    assert theta_bounds(1.0 + 1e-9, compute_exact=False).upper > 0.99
+    rep = theta_bounds(1.0 + 1e-9)
+    assert rep.upper > 0.99
+    assert rep.lower <= rep.exact <= rep.upper
     # general-tree lower bound from the branching number
-    assert theta_bounds(2.0, br=2.0, compute_exact=False).lower == pytest.approx(
+    assert theta_bounds(2.0, br=2.0).lower == pytest.approx(
         1.0 / (2.0 * math.e)
     )
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from rmfperc import (
     open_implies_increasing_check,
     simulate_bricklayer,
 )
+from rmfperc import bricklayer
 from rmfperc.bricklayer import _brick_ids_up_to, _brick_sites
 from conftest import FixedField
 
@@ -451,13 +452,17 @@ def test_open_implies_increasing_rejects_range_left_of_threshold():
 # --- percolation simulation -----------------------------------------------------------
 
 
-def test_simulate_forced_good_field():
+def test_simulate_forced_good_field(monkeypatch):
     cfg = BrickConfig(8, math.inf)
     depth = 6
     bmax = 2 * (2 * depth) + 3
 
     class MonotoneRows:
-        seed = -1
+        def __init__(self, seed):
+            self.seed = seed
+
+        def key_of(self, obj):
+            return -1
 
         def uniform_at(self, site):
             return 0.05 + 0.9 * (site[1] + 0.5) / bmax
@@ -466,7 +471,8 @@ def test_simulate_forced_good_field():
             coords = np.asarray(coords)
             return 0.05 + 0.9 * (coords[..., 1] + 0.5) / bmax
 
-    res = simulate_bricklayer(cfg, depth, 3, seed=1, field_factory=lambda r: MonotoneRows())
+    monkeypatch.setattr(bricklayer, "LabelField", MonotoneRows)
+    res = simulate_bricklayer(cfg, depth, 3, seed=1)
     assert res.frequency == 1.0
     assert res.good_fraction == 1.0
     assert res.witness_verified == 3

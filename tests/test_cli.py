@@ -242,6 +242,7 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["bricklayer-check", "--x-max", "inf"],
         ["tree-sim", "--m", "inf", "--offspring", "poisson", "--theta", "0.3",
          "--replicas", "2", "--horizon", "2"],
+        ["bounds", "--m", "2", "--br", "nan"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):
@@ -252,6 +253,15 @@ def test_bad_sizes_exit_code(tmp_path, args):
 def test_bounds_below_drift_floor_exit_code(tmp_path, capsys, m):
     assert run_cli(["bounds", "--m", m], tmp_path) == (2, b"")
     assert "below the supported drift floor 1e-3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["100", "300", "360"])
+def test_bounds_near_drift_floor(tmp_path, m):
+    # Q_theta has further real roots ~5*theta above its minimal one here
+    code, payload = run_cli(["bounds", "--m", m], tmp_path)
+    assert code == 0
+    doc = json.loads(payload)
+    assert doc["lower"] <= doc["exact"] <= doc["upper"]
 
 
 def test_resource_guard_exit_code(tmp_path):
@@ -275,6 +285,12 @@ def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR)
     args = build_parser().parse_args(["lattice-sim"])
     assert args.seed == DEFAULT_SEED
+
+
+def test_bad_seed_env_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "abc")
+    assert run_cli(["critical", "--theta", "0.5"], tmp_path) == (2, b"")
+    assert capsys.readouterr().err == f"parameter error: {SEED_ENV_VAR} must be an integer, got 'abc'\n"
 
 
 def test_float_serialization_round_trips(tmp_path):
