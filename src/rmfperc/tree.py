@@ -168,10 +168,10 @@ class SurvivalEstimate:
 
 class _BatchState:
     """Flat arrays for a batch of live replicas evolved in lockstep.
-    ``ids`` holds their global replica ids in increasing order and
-    ``replica`` maps each member to its slot in ``ids`` (sorted).  Keys
-    derive from the global ids, so no split of the replicas into batches
-    can change any uniform."""
+    ``rows`` holds each replica's index in the id array the batch was
+    built from, in increasing order, and ``replica`` maps each member to
+    its slot in ``rows``.  Keys derive from the global replica ids, so no
+    split of the replicas into batches can change any uniform."""
 
     def __init__(self, field: LabelField, replica_ids: np.ndarray):
         n = len(replica_ids)
@@ -182,7 +182,7 @@ class _BatchState:
         self.keys = field.derive_key_array(rkeys, np.uint64(_CHILD_BASE))
         self.uniforms = field.uniform_from_key_array(self.keys)
         self.replica = np.arange(n, dtype=np.int64)
-        self.ids = replica_ids
+        self.rows = np.arange(n)
 
     def step(self, theta, offspring, field) -> np.ndarray:
         """One generation for every replica; returns the new frontier sizes."""
@@ -190,36 +190,38 @@ class _BatchState:
             self.uniforms, self.keys, theta, offspring, field
         )
         self.replica = self.replica[parent_idx]
-        return np.bincount(self.replica, minlength=len(self.ids))
+        return np.bincount(self.replica, minlength=len(self.rows))
 
     def keep(self, mask: np.ndarray):
         """Drop the replicas whose slot in ``mask`` is False."""
         members = mask[self.replica]
         slot = np.cumsum(mask) - 1
-        self.ids = self.ids[mask]
+        self.rows = self.rows[mask]
         self.uniforms = self.uniforms[members]
         self.keys = self.keys[members]
         self.replica = slot[self.replica[members]]
 
     def split(self) -> "_BatchState":
         """Move the second half of the replicas to a new batch."""
-        first = np.arange(len(self.ids)) < len(self.ids) // 2
+        first = np.arange(len(self.rows)) < len(self.rows) // 2
         half = copy.copy(self)
         half.keep(~first)
         self.keep(first)
         return half
 
 
-def _histories(theta, offspring, generations, replicas, cap, field, weight=None):
-    """Evolve replicas 0..replicas-1 for ``generations`` generations.
+def _histories(theta, offspring, generations, replica_ids, cap, field, weight=None):
+    """Evolve the replicas with global ids ``replica_ids`` for
+    ``generations`` generations.
 
-    Returns ``(extinct_at, capped_at, sums, sizes)``.  Per replica,
-    ``extinct_at`` is the generation at which its frontier emptied and
-    ``capped_at`` the one at which it passed ``cap`` (``generations + 1``
-    for neither); a capped replica stops there.  With ``weight`` given,
-    ``sums`` and ``sizes`` are (replicas, generations + 1) arrays of the
-    frontier sums of ``weight(uniforms)`` and of the frontier sizes (else
-    None).
+    Returns ``(extinct_at, capped_at, sums, sizes)``, one row per id in the
+    order of ``replica_ids``.  Per
+    replica, ``extinct_at`` is the generation at which its frontier
+    emptied and ``capped_at`` the one at which it passed ``cap``
+    (``generations + 1`` for neither); a capped replica stops there.  With
+    ``weight`` given, ``sums`` and ``sizes`` are (replicas, generations + 1)
+    arrays of the frontier sums of ``weight(uniforms)`` and of the frontier
+    sizes (else None).
 
     Only live members size the batches: before a step, a batch whose
     children could pass ``MEMBER_BUDGET`` hands half of its replicas to a
@@ -227,6 +229,7 @@ def _histories(theta, offspring, generations, replicas, cap, field, weight=None)
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
+    replicas = len(replica_ids)
     if replicas < 1 or generations < 0:
         raise ValueError(
             f"replicas must be >= 1 and generations >= 0, got {replicas} and {generations}"
@@ -240,42 +243,37 @@ def _histories(theta, offspring, generations, replicas, cap, field, weight=None)
         sums = np.zeros((replicas, generations + 1))
         sizes = np.zeros((replicas, generations + 1), dtype=np.int64)
     growth = max(offspring.mean, 1.0)
-    stack = [(0, _BatchState(field, np.arange(replicas)))]
+    stack = [(0, _BatchState(field, replica_ids))]
     while stack:
         gen, state = stack.pop()
-        while len(state.ids):
-            while len(state.ids) > 1 and len(state.uniforms) * growth > MEMBER_BUDGET:
+        while len(state.rows):
+            while len(state.rows) > 1 and len(state.uniforms) * growth > MEMBER_BUDGET:
                 stack.append((gen, state.split()))
             if weight is not None:
-                n = len(state.ids)
-                sums[state.ids, gen] = np.bincount(
+                n = len(state.rows)
+                sums[state.rows, gen] = np.bincount(
                     state.replica, weights=weight(state.uniforms), minlength=n
                 )
-                sizes[state.ids, gen] = np.bincount(state.replica, minlength=n)
+                sizes[state.rows, gen] = np.bincount(state.replica, minlength=n)
             if gen == generations:
                 break
             counts = state.step(theta, offspring, field)
             gen += 1
-            capped_at[state.ids[counts > cap]] = gen
-            extinct_at[state.ids[counts == 0]] = gen
+            capped_at[state.rows[counts > cap]] = gen
+            extinct_at[state.rows[counts == 0]] = gen
             live = (counts > 0) & (counts <= cap)
             if not live.all():
                 state.keep(live)
     return extinct_at, capped_at, sums, sizes
 
 
-def _survivor_counts(theta, offspring, horizons, replicas, cap, field):
-    """Survivor counts at each generation in ``horizons`` from one pass,
-    plus the number of replicas truncated by ``cap`` before the last one.
-
-    A replica survives to h when its frontier is nonempty at generation h
-    or it hit the cap at or before h.
-    """
-    if min(horizons) < 1:
-        raise ValueError("horizon_h must be >= 1")
-    last = max(horizons)
-    extinct_at, capped_at, _, _ = _histories(theta, offspring, last, replicas, cap, field)
-    return [int((extinct_at > h).sum()) for h in horizons], int((capped_at <= last).sum())
+def _check_run(replicas, horizon_h, cap):
+    if replicas < 1 or horizon_h < 1:
+        raise ValueError(
+            f"replicas and horizon_h must be >= 1, got {replicas} and {horizon_h}"
+        )
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
 
 
 def survival_probability(
@@ -292,15 +290,16 @@ def survival_probability(
     flagged as truncated (supercritical frontiers explode; stopping them
     early cannot misclassify an extinction).
     """
-    (survivors,), truncated = _survivor_counts(
-        theta, offspring, (horizon_h,), replicas, cap, LabelField(seed)
+    _check_run(replicas, horizon_h, cap)
+    extinct_at, capped_at, _, _ = _histories(
+        theta, offspring, horizon_h, np.arange(replicas), cap, LabelField(seed)
     )
     return SurvivalEstimate(
         theta=theta,
         horizon=horizon_h,
         replicas=replicas,
-        survivors=survivors,
-        truncated=truncated,
+        survivors=int((extinct_at > horizon_h).sum()),
+        truncated=int((capped_at <= horizon_h).sum()),
         cap=cap,
         seed=seed,
     )
@@ -343,25 +342,45 @@ def estimate_theta_c_tree(
 
     Replica streams are shared across grid points, so the per-replica
     survival indicator is monotone in theta and the curve is nondecreasing
-    pathwise.
+    pathwise.  The sweep uses that: it visits the distinct grid drifts in
+    increasing order and simulates only the replicas that have not yet
+    survived to the full horizon.  A child kept at theta is kept at any
+    larger theta (``u' > fl(u - theta)`` and ``fl(u - theta)`` is
+    nondecreasing in theta) and offspring counts do not depend on theta, so
+    a replica alive or capped at a generation stays so at every larger
+    theta, and counts as a survivor at both horizons from then on.
     """
     thetas = np.asarray(list(theta_grid), dtype=np.float64)
+    outside = ~((thetas >= 0.0) & (thetas <= 1.0))
+    if outside.any():
+        raise ValueError(f"theta grid must lie in [0,1], got {thetas[outside].tolist()}")
+    _check_run(replicas, horizon_h, cap)
     field = LabelField(seed)
+    mid = max(1, horizon_h // 2)
+    levels, level_of = np.unique(thetas, return_inverse=True)
+    s_mid = np.full(len(levels), replicas)
+    s_end = np.full(len(levels), replicas)
+    pending = np.arange(replicas)
+    for k, th in enumerate(levels):
+        if not len(pending):
+            break
+        extinct_at, _, _, _ = _histories(float(th), offspring, horizon_h, pending, cap, field)
+        done = replicas - len(pending)
+        s_mid[k] = done + int((extinct_at > mid).sum())
+        s_end[k] = done + int((extinct_at > horizon_h).sum())
+        pending = pending[extinct_at <= horizon_h]
     ests = np.empty(len(thetas))
     errs = np.empty(len(thetas))
     halves = np.empty(len(thetas))
     crossing = None
-    mid = max(1, horizon_h // 2)
-    for i, th in enumerate(thetas):
-        (s_mid, s_end), _ = _survivor_counts(
-            float(th), offspring, (mid, horizon_h), replicas, cap, field
-        )
-        p = s_end / replicas
+    for i, k in enumerate(level_of):
+        end, half = int(s_end[k]), int(s_mid[k])
+        p = end / replicas
         ests[i] = p
         errs[i] = math.sqrt(p * (1.0 - p) / replicas)
-        halves[i] = s_mid / replicas
-        if crossing is None and s_end >= MIN_EVENTS and s_end >= 0.5 * s_mid:
-            crossing = float(th)
+        halves[i] = half / replicas
+        if crossing is None and end >= MIN_EVENTS and end >= 0.5 * half:
+            crossing = float(thetas[i])
     return SurvivalCurve(thetas, ests, errs, halves, crossing, horizon_h, replicas)
 
 
@@ -397,7 +416,7 @@ def martingale_trace(
     m = offspring.mean
     lam = lead_eigenvalue(m, theta)
     _, capped_at, sums, sizes = _histories(
-        theta, offspring, generations, replicas, cap, LabelField(seed),
+        theta, offspring, generations, np.arange(replicas), cap, LabelField(seed),
         weight=lambda u: eigenfunction_eval(m, theta, lam, u),
     )
     if (capped_at <= generations).any():

@@ -3,8 +3,10 @@
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
 ``rmfperc.tree``, so the tests can compare the two replica by replica.
-``survival_oracle`` integrates the survival recursion on a grid, and
-``minimal_root_oracle`` finds the minimal root of Q_theta by a fine scan.
+``theta_sweep_oracle`` is the per-drift loop that re-simulates every
+replica at every grid point.  ``survival_oracle`` integrates the survival
+recursion on a grid, and ``minimal_root_oracle`` finds the minimal root of
+Q_theta by a fine scan.
 """
 
 import math
@@ -15,7 +17,16 @@ import mpmath
 import numpy as np
 
 from rmfperc.core import LabelField
-from rmfperc.tree import DEFAULT_CAP, _CHILD_BASE, _TREE_TAG, OffspringDistribution, _step_arrays
+from rmfperc.tree import (
+    DEFAULT_CAP,
+    MIN_EVENTS,
+    _CHILD_BASE,
+    _TREE_TAG,
+    OffspringDistribution,
+    SurvivalCurve,
+    _histories,
+    _step_arrays,
+)
 
 
 @dataclass
@@ -66,6 +77,30 @@ def step_frontier(
         child_keys = child_keys[:cap]
         truncated = True
     return Frontier(frontier.generation + 1, child_u, child_keys, truncated)
+
+
+def theta_sweep_oracle(offspring, theta_grid, horizon_h, replicas, cap, seed) -> SurvivalCurve:
+    """``estimate_theta_c_tree`` as one full simulation of every replica per
+    grid point, in grid order."""
+    thetas = np.asarray(list(theta_grid), dtype=np.float64)
+    field = LabelField(seed)
+    ests = np.empty(len(thetas))
+    errs = np.empty(len(thetas))
+    halves = np.empty(len(thetas))
+    crossing = None
+    mid = max(1, horizon_h // 2)
+    for i, th in enumerate(thetas):
+        extinct_at, _, _, _ = _histories(
+            float(th), offspring, horizon_h, np.arange(replicas), cap, field
+        )
+        s_mid, s_end = (int((extinct_at > h).sum()) for h in (mid, horizon_h))
+        p = s_end / replicas
+        ests[i] = p
+        errs[i] = math.sqrt(p * (1.0 - p) / replicas)
+        halves[i] = s_mid / replicas
+        if crossing is None and s_end >= MIN_EVENTS and s_end >= 0.5 * s_mid:
+            crossing = float(th)
+    return SurvivalCurve(thetas, ests, errs, halves, crossing, horizon_h, replicas)
 
 
 def survival_oracle(pgf, theta: float, horizon: int, points: int = 20_000) -> float:

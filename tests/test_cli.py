@@ -243,6 +243,7 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["tree-sim", "--m", "inf", "--offspring", "poisson", "--theta", "0.3",
          "--replicas", "2", "--horizon", "2"],
         ["bounds", "--m", "2", "--br", "nan"],
+        ["tree-sim", "--m", "2", "--grid", "0.9:1.5:0.3", "--horizon", "3", "--replicas", "5"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from oracles import Frontier, root_frontier, step_frontier, survival_oracle
+from oracles import Frontier, root_frontier, step_frontier, survival_oracle, theta_sweep_oracle
 from rmfperc import tree
 from rmfperc import (
     LabelField,
@@ -264,8 +264,12 @@ _OFFSPRING = [
 def _tree_results(theta, offspring, generations, replicas, cap, seed):
     """Survivor and truncation counts at every horizon, and the martingale
     trace (None when the cap is hit)."""
-    counts = tree._survivor_counts(
-        theta, offspring, range(1, generations + 1), replicas, cap, LabelField(seed)
+    extinct_at, capped_at, _, _ = tree._histories(
+        theta, offspring, generations, np.arange(replicas), cap, LabelField(seed)
+    )
+    counts = (
+        [int((extinct_at > h).sum()) for h in range(1, generations + 1)],
+        int((capped_at <= generations).sum()),
     )
     try:
         trace = martingale_trace(
@@ -299,7 +303,7 @@ def test_results_independent_of_batching_and_unhit_cap(
     offspring, theta, generations, replicas, seed, budget, data
 ):
     _, _, _, sizes = tree._histories(
-        theta, offspring, generations, replicas, tree.DEFAULT_CAP, LabelField(seed),
+        theta, offspring, generations, np.arange(replicas), tree.DEFAULT_CAP, LabelField(seed),
         weight=np.zeros_like,
     )
     peak = int(sizes.max())  # no cap >= peak is ever passed
@@ -358,6 +362,45 @@ def test_theta_c_curve_rows_equal_survival_probability(offspring, horizon, cap):
 def test_theta_c_curve_rejects_bad_grid():
     with pytest.raises(ValueError):
         estimate_theta_c_tree(OffspringDistribution.poisson(2.0), [0.5, 1.4], 10, 10)
+
+
+def test_theta_c_curve_validates_whole_sweep_first():
+    # every replica survives at theta = 1, so the sweep would never
+    # simulate the bad point that follows it
+    offspring = OffspringDistribution.deterministic(2)
+    for grid in ([1.0, 1.4], [0.3, float("nan")], [0.3, -0.1]):
+        with pytest.raises(ValueError, match="theta grid"):
+            estimate_theta_c_tree(offspring, grid, 3, 5)
+    for replicas, horizon in ((0, 3), (-2, 3), (5, 0)):
+        with pytest.raises(ValueError, match="replicas and horizon_h"):
+            estimate_theta_c_tree(offspring, [0.2, 0.3], horizon, replicas)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    offspring=st.sampled_from(_OFFSPRING),
+    grid=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=8
+    ).flatmap(lambda g: st.permutations(g + g[: len(g) // 2])),
+    horizon=st.integers(1, 12),
+    cap=st.sampled_from([30, tree.DEFAULT_CAP]),
+    replicas=st.integers(1, 60),
+    seed=st.integers(0, 2**32 - 1),
+    budget=st.one_of(st.integers(1, 100), st.just(tree.MEMBER_BUDGET)),
+)
+def test_theta_c_curve_equals_per_drift_oracle(
+    offspring, grid, horizon, cap, replicas, seed, budget
+):
+    # unsorted grids with duplicates, truncating and unhit caps, any batching
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "MEMBER_BUDGET", budget)
+        curve = estimate_theta_c_tree(offspring, grid, horizon, replicas, cap=cap, seed=seed)
+        oracle = theta_sweep_oracle(offspring, grid, horizon, replicas, cap, seed)
+    assert np.array_equal(curve.thetas, oracle.thetas)
+    assert np.array_equal(curve.estimates, oracle.estimates)
+    assert np.array_equal(curve.estimates_half, oracle.estimates_half)
+    assert np.array_equal(curve.stderrs, oracle.stderrs)
+    assert curve.crossing == oracle.crossing
 
 
 @pytest.mark.slow
