@@ -215,13 +215,12 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
     ``generations`` generations.
 
     Returns ``(extinct_at, capped_at, sums, sizes)``, one row per id in the
-    order of ``replica_ids``.  Per
-    replica, ``extinct_at`` is the generation at which its frontier
-    emptied and ``capped_at`` the one at which it passed ``cap``
-    (``generations + 1`` for neither); a capped replica stops there.  With
-    ``weight`` given, ``sums`` and ``sizes`` are (replicas, generations + 1)
-    arrays of the frontier sums of ``weight(uniforms)`` and of the frontier
-    sizes (else None).
+    order of ``replica_ids``.  Per replica, ``extinct_at`` is the generation
+    at which its frontier emptied and ``capped_at`` the one at which it
+    passed ``cap`` (``generations + 1`` for neither); a capped replica stops
+    there.  With ``weight`` given, ``sums`` and ``sizes`` are (replicas,
+    generations + 1) arrays of the frontier sums of ``weight(uniforms)`` and
+    of the frontier sizes (else None).
 
     Only live members size the batches: before a step, a batch whose
     children could pass ``MEMBER_BUDGET`` hands half of its replicas to a
