@@ -6,20 +6,9 @@ including a brick-based oriented-percolation coupling.
 
 __version__ = "0.1.0"
 
-from .core import (
-    LabelField,
-    Metric,
-    RmfParams,
-    is_increasing,
-    lp_distance,
-    rmf_label,
-)
+from .core import LabelField, Metric
 from .analytic import (
     BoundsReport,
-    CriticalPolynomial,
-    EigenFunction,
-    cutset_first_moment_bound,
-    eigen_char_poly,
     eigenfunction_eval,
     eigenfunction_integral,
     lead_eigenvalue,
@@ -44,21 +33,16 @@ from .lattice import (
     accessible_set,
     crossing_probability,
     export_accessible,
-    lattice_first_moment_bound,
     oriented_coupling_check,
     parse_accessible,
     sweep_accessible_min_theta,
     sweep_theta,
 )
 from .bricklayer import (
-    Brick,
     BrickConfig,
     BrickId,
-    brick_build,
-    brick_good,
     compute_A,
     distance_gap_check,
-    edge_open,
     goodness_probability,
     open_implies_increasing_check,
     simulate_bricklayer,

@@ -18,7 +18,7 @@ the probability that a single path of length h is increasing.
 from __future__ import annotations
 
 import math
-import warnings
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -28,8 +28,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 __all__ = [
-    "CriticalPolynomial",
-    "EigenFunction",
     "BoundsReport",
     "q_theta_eval",
     "m_critical",
@@ -37,11 +35,9 @@ __all__ = [
     "theta_bounds",
     "path_increase_upper_bound",
     "out_of_order_bound",
-    "cutset_first_moment_bound",
     "eigenfunction_eval",
     "eigenfunction_integral",
     "lead_eigenvalue",
-    "eigen_char_poly",
 ]
 
 ThetaLike = Union[float, Fraction]
@@ -62,28 +58,6 @@ def _floor_one_over(theta: ThetaLike) -> int:
 def _check_theta(theta: ThetaLike) -> None:
     if not (0 < theta <= 1):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
-
-
-@dataclass(frozen=True)
-class CriticalPolynomial:
-    """Q_theta as a concrete coefficient vector (ascending powers)."""
-
-    theta: float
-
-    def __post_init__(self):
-        _check_theta(self.theta)
-
-    @property
-    def degree(self) -> int:
-        return _floor_one_over(self.theta) + 1
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        descending, _ = _q_evaluator(float(self.theta))
-        return np.array([float(c) for c in reversed(descending)])
-
-    def __call__(self, x: float) -> float:
-        return q_theta_eval(self.theta, x)
 
 
 def q_theta_eval(theta: ThetaLike, x) -> float:
@@ -204,11 +178,24 @@ def theta_bounds(m: float, br: Optional[float] = None) -> BoundsReport:
     return BoundsReport(m=m, lower=lower, upper=upper, exact=theta_critical(m), br=br)
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _log_path_term(h: int, t: float) -> float:
+    """log of (1 + t)^(h+1) / (h+1)!, the first-moment term of a path of
+    length h: t = theta*h gives the single-path bound, t = j*theta the
+    terms of the out-of-order sum."""
+    return (h + 1) * math.log1p(t) - math.lgamma(h + 2)
+
+
 def path_increase_upper_bound(h: int, theta: ThetaLike):
     """Upper bound (1 + theta*h)^(h+1) / (h+1)! on the probability that one
     fixed path of length h has increasing labels.  Exact over Fractions;
     in float mode log-space wherever the direct form would overflow, and
     math.inf once even the log form leaves the float range."""
+    _check_integer("path length", h)
     if h < 0:
         raise ValueError(f"path length must be >= 0, got {h}")
     if isinstance(theta, Fraction):
@@ -220,7 +207,7 @@ def path_increase_upper_bound(h: int, theta: ThetaLike):
     except OverflowError:
         pass
     try:
-        return math.exp((h + 1) * math.log1p(theta * h) - math.lgamma(h + 2))
+        return math.exp(_log_path_term(h, theta * h))
     except OverflowError:
         return math.inf
 
@@ -233,6 +220,8 @@ def out_of_order_bound(n: int, h: int, theta: ThetaLike):
 
     Nonnegative for all valid inputs.  Exact over Fractions.
     """
+    _check_integer("h", h)
+    _check_integer("n", n)
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
     if not (0 <= n <= h):
@@ -245,75 +234,27 @@ def out_of_order_bound(n: int, h: int, theta: ThetaLike):
         )
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0,1], got {theta}")
-    fact = math.lgamma(h + 2)
     terms = [
-        math.comb(n, j) * (-1) ** (n - j)
-        * math.exp((h + 1) * math.log1p(j * theta) - fact)
+        math.comb(n, j) * (-1) ** (n - j) * math.exp(_log_path_term(h, j * theta))
         for j in range(n + 1)
     ]
     return max(math.fsum(terms), 0.0)
-
-
-def cutset_first_moment_bound(depth_counts: dict, theta: float) -> float:
-    """First-moment bound over a cutset: sum over depths d of
-    count(d) * (1 + theta*d)^(d+1) / (d+1)!.
-
-    For the level-h cutset of an m-ary tree (count m^h at depth h) this is
-    the familiar m^h (1+theta*h)^(h+1)/(h+1)! bound.
-    """
-    total = 0.0
-    for depth, count in depth_counts.items():
-        if depth < 1:
-            raise ValueError(f"cutset depths must be >= 1, got {depth}")
-        if count < 0:
-            raise ValueError(f"counts must be >= 0, got {count}")
-        if count == 0:
-            continue
-        log_term = math.log(count) + (depth + 1) * math.log1p(theta * depth) \
-            - math.lgamma(depth + 2)
-        total += math.exp(log_term)
-    return total
 
 
 # ---------------------------------------------------------------------------
 # eigenfunctions of the increasing-offspring reproduction operator
 
 
+def _check_mean(m: float) -> None:
+    if not 0 < m < math.inf:
+        raise ValueError(f"m must be finite and > 0, got {m}")
+
+
 def _check_eigen(m: float, theta: float, lam: float) -> None:
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
+    _check_mean(m)
     _check_theta(theta)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-
-
-@dataclass(frozen=True)
-class EigenFunction:
-    """Piecewise polynomial f_{m,theta,lambda} on [0,1]:
-
-        f(u) = sum_{i=0}^{j} (-1)^i m^i (u - i*theta)^i / (lambda^i i!)
-
-    on [j*theta, (j+1)*theta); identically 1 below theta, continuous at
-    every breakpoint.
-    """
-
-    m: float
-    theta: float
-    lam: float
-
-    def __post_init__(self):
-        _check_eigen(self.m, self.theta, self.lam)
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        k = _floor_one_over(self.theta)
-        return np.minimum(np.arange(k + 2) * self.theta, 1.0)
-
-    def __call__(self, u):
-        return eigenfunction_eval(self.m, self.theta, self.lam, u)
-
-    def integral(self) -> float:
-        return eigenfunction_integral(self.m, self.theta, self.lam)
+    if lam == 0 or not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite and nonzero, got {lam}")
 
 
 def eigenfunction_eval(m: float, theta: float, lam: float, u):
@@ -321,7 +262,7 @@ def eigenfunction_eval(m: float, theta: float, lam: float, u):
     _check_eigen(m, theta, lam)
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if np.any((uu < 0) | (uu > 1)):
+    if not ((uu >= 0) & (uu <= 1)).all():  # NaN fails both tests
         raise ValueError("u must lie in [0, 1]")
     kmax = _floor_one_over(theta)
     j = np.minimum(np.floor(uu / theta + 1e-12).astype(np.int64), kmax)
@@ -357,41 +298,5 @@ def lead_eigenvalue(m: float, theta: float) -> float:
     """Largest real eigenvalue of the increasing-offspring operator:
     lambda_{m,theta} = m / m_critical(theta).  Equals 1 exactly at the
     critical mean and scales linearly in m."""
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
+    _check_mean(m)
     return m / m_critical(theta)
-
-
-def eigen_char_poly(m: float, theta: float):
-    """Characteristic polynomial of the eigenvalue problem, monic in lambda:
-
-        lambda^(K+1) - sum_{i=0}^{K} (-1)^i/(i+1)! m^(i+1) (1-i*theta)^(i+1)
-                       * lambda^(K-i),   K = floor(1/theta).
-
-    Returns (coefficients in descending powers, sorted real roots).  The
-    largest real root is the lead eigenvalue.  Degenerate drifts with
-    1/theta integral are perturbed to theta - 1e-12 with a warning, since
-    the constant coefficient vanishes there.
-    """
-    if m <= 0:
-        raise ValueError(f"m must be > 0, got {m}")
-    _check_theta(theta)
-    inv = 1.0 / theta
-    if abs(inv - round(inv)) <= 1e-12 * max(1.0, inv):
-        warnings.warn(
-            f"1/theta is an integer ({round(inv)}); evaluating the "
-            "characteristic polynomial at theta - 1e-12",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        theta = theta - 1e-12
-    k = _floor_one_over(theta)
-    coeffs = np.zeros(k + 2)
-    coeffs[0] = 1.0
-    for i in range(k + 1):
-        c = (-1.0) ** i / math.factorial(i + 1) * m ** (i + 1) * (1.0 - i * theta) ** (i + 1)
-        coeffs[i + 1] = -c
-    roots = np.roots(coeffs)
-    scale = max(1.0, np.abs(roots).max())
-    real = np.sort(roots.real[np.abs(roots.imag) <= 1e-9 * scale])
-    return coeffs, real

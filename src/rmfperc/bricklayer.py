@@ -28,10 +28,6 @@ from .lattice import oriented_reach
 __all__ = [
     "BrickId",
     "BrickConfig",
-    "Brick",
-    "brick_build",
-    "edge_open",
-    "brick_good",
     "goodness_probability",
     "compute_A",
     "distance_gap_check",
@@ -117,37 +113,6 @@ class BrickConfig:
         return Metric(self.q)
 
 
-@dataclass(frozen=True)
-class Brick:
-    """Vertex and edge sets of one brick.
-
-    Sites (a, b) with a in {x*n, ..., x*n + n} and b in {2y, 2y+1, 2y+2};
-    horizontal edges run along the two lower rows, left-vertical edges sit
-    in the second column quarter between the lower rows, right-vertical
-    edges in the third quarter between the upper rows.  No two vertical
-    edges share a vertex, which makes all edge states within a brick
-    independent.
-    """
-
-    id: BrickId
-    n: int
-    vertices: frozenset
-    hor: tuple
-    lver: tuple
-    rver: tuple
-
-    @property
-    def edges(self) -> tuple:
-        return self.hor + self.lver + self.rver
-
-
-def _col0(brick_id: BrickId, n: int) -> int:
-    c = brick_id.x * n
-    if c.denominator != 1:
-        raise ValueError(f"x*n must be integral; got x={brick_id.x}, n={n}")
-    return int(c)
-
-
 def _brick_sites(ks, ys, n: int) -> np.ndarray:
     """Sites of the bricks (k, y) as a (B, 3, n + 1, 2) array: per brick,
     rows 2y + 0..2, then columns k*n + y*n/2 + 0..n, then (a, b)."""
@@ -157,56 +122,6 @@ def _brick_sites(ks, ys, n: int) -> np.ndarray:
     cols = (ks * n + ys * n // 2)[:, None, None] + np.arange(n + 1)
     rows = 2 * ys[:, None, None] + np.arange(3)[:, None]
     return np.stack(np.broadcast_arrays(cols, rows), axis=-1)
-
-
-def brick_build(brick_id: BrickId, config: BrickConfig) -> Brick:
-    """Materialise the vertex set and the three directed edge sets."""
-    n = config.n
-    if n % 4 != 0:
-        raise ValueError(f"brick subdivision requires n divisible by 4, got {n}")
-    c0 = _col0(brick_id, n)
-    r0 = 2 * brick_id.y
-    vertices = frozenset(
-        (a, b) for a in range(c0, c0 + n + 1) for b in (r0, r0 + 1, r0 + 2)
-    )
-    hor = tuple(
-        ((a, b), (a + 1, b))
-        for b in (r0, r0 + 1)
-        for a in range(c0, c0 + n)
-    )
-    lver = tuple(
-        ((a, r0), (a, r0 + 1)) for a in range(c0 + n // 4, c0 + n // 2)
-    )
-    rver = tuple(
-        ((a, r0 + 1), (a, r0 + 2)) for a in range(c0 + n // 2, c0 + 3 * n // 4)
-    )
-    return Brick(id=brick_id, n=n, vertices=vertices, hor=hor, lver=lver, rver=rver)
-
-
-def edge_open(edge, field: LabelField, config: BrickConfig) -> bool:
-    """Openness of one directed edge of the coupling.
-
-    Horizontal ((a,b),(a+1,b)): source uniform inside the window.
-    Vertical ((a,b),(a,b+1)): source uniform below the target uniform.
-    """
-    (a, b), (a2, b2) = edge
-    if a2 == a + 1 and b2 == b:
-        w = config.window_margin
-        return w < field.uniform_at((a, b)) < 1.0 - w
-    if a2 == a and b2 == b + 1:
-        return field.uniform_at((a, b)) < field.uniform_at((a, b2))
-    raise ValueError(f"not a brick edge: {edge}")
-
-
-def brick_good(brick_id: BrickId, field: LabelField, config: BrickConfig) -> bool:
-    """All horizontal edges open, at least one left-vertical open, and at
-    least one right-vertical open."""
-    brick = brick_build(brick_id, config)
-    return (
-        all(edge_open(e, field, config) for e in brick.hor)
-        and any(edge_open(e, field, config) for e in brick.lver)
-        and any(edge_open(e, field, config) for e in brick.rver)
-    )
 
 
 def goodness_probability(config: BrickConfig) -> float:
@@ -593,7 +508,8 @@ def simulate_bricklayer(
 def _verify_open_path(vertex_path, config: BrickConfig, field: LabelField):
     """Independent check of a witness: re-hash every site of the path in
     one batch and require each consecutive pair to be an oriented edge
-    that is open under the coupling's rules (see ``edge_open``)."""
+    that is open under the coupling's rules (the scalar reference is
+    ``edge_open`` in ``tests/oracles.py``)."""
     path = np.asarray(vertex_path, dtype=np.int64)
     step = np.diff(path, axis=0)
     hor = (step[:, 0] == 1) & (step[:, 1] == 0)

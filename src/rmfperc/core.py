@@ -1,5 +1,5 @@
-"""Label substrate for Rough Mount Fuji landscapes: deterministic uniforms,
-l^q distances and the increasing-path predicate.
+"""Label substrate for Rough Mount Fuji landscapes: deterministic uniforms
+and l^q distances.
 
 A site's label is X_v = U_v + theta * d(0, v) where U_v is a Uniform(0,1)
 variable attached to the site.  All randomness is derived from a stateless
@@ -11,21 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Metric",
-    "Site",
-    "LabelField",
-    "RmfParams",
-    "lp_distance",
-    "rmf_label",
-    "is_increasing",
-]
-
-Site = tuple  # tuple of ints, one entry per lattice dimension
+__all__ = ["Metric", "LabelField"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -179,42 +169,3 @@ class LabelField:
 
     def uniform_from_key_array(self, keys: np.ndarray) -> np.ndarray:
         return _u01_np(keys)
-
-
-@dataclass(frozen=True)
-class RmfParams:
-    """Drift strength theta in [0,1] plus the distance metric."""
-
-    theta: float
-    metric: Metric
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [0,1], got {self.theta}")
-
-
-def lp_distance(metric: Metric, site: Sequence[int]) -> float:
-    """||site||_q; exact-integer backed for integer q."""
-    if len(site) < 1:
-        raise ValueError("site needs at least one coordinate")
-    return metric.norm(site)
-
-
-def rmf_label(field: LabelField, params: RmfParams, site: Sequence[int]) -> float:
-    """X_v = U_v + theta * d(0, v)."""
-    return field.uniform_at(tuple(site)) + params.theta * lp_distance(params.metric, site)
-
-
-def is_increasing(labels: Iterable[float]) -> bool:
-    """Strictly increasing test; ties count as not increasing."""
-    it = iter(labels)
-    try:
-        prev = next(it)
-    except StopIteration:
-        raise ValueError("label sequence must be nonempty") from None
-    for x in it:
-        if not (x > prev):
-            return False
-        prev = x
-    return True
-

@@ -32,7 +32,6 @@ __all__ = [
     "sweep_theta",
     "sweep_accessible_min_theta",
     "oriented_coupling_check",
-    "lattice_first_moment_bound",
     "export_accessible",
     "parse_accessible",
 ]
@@ -433,35 +432,6 @@ def oriented_coupling_check(theta: float, seed: int, box_radius: int) -> Couplin
         cluster_size=int(oriented_reach(open_site).sum()),
         violation=violation,
     )
-
-
-def lattice_first_moment_bound(
-    h: int,
-    theta: float,
-    max_degree: Optional[int] = None,
-    out_degree: Optional[int] = None,
-) -> float:
-    """First-moment bound on the probability of an increasing path of
-    length h on a bounded-degree graph:
-
-        Delta * (Delta-1)^(h-1) * (1 + theta*h)^(h+1) / (h+1)!
-
-    With ``out_degree`` given instead, the path count is out_degree^h
-    (non-backtracking paths in one orthant of Z^n have out-degree n).
-    """
-    if (max_degree is None) == (out_degree is None):
-        raise ValueError("supply exactly one of max_degree or out_degree")
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    if max_degree is not None:
-        if max_degree < 2:
-            raise ValueError("max_degree must be >= 2")
-        log_count = math.log(max_degree) + (h - 1) * math.log(max_degree - 1)
-    else:
-        if out_degree < 1:
-            raise ValueError("out_degree must be >= 1")
-        log_count = h * math.log(out_degree)
-    return math.exp(log_count + (h + 1) * math.log1p(theta * h) - math.lgamma(h + 2))
 
 
 def export_accessible(aset: AccessibleSet, fmt: str = "json") -> bytes:

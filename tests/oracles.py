@@ -6,7 +6,16 @@ generation at a time from the same hash streams as the batched engine in
 ``theta_sweep_oracle`` is the per-drift loop that re-simulates every
 replica at every grid point.  ``survival_oracle`` integrates the survival
 recursion on a grid, and ``minimal_root_oracle`` finds the minimal root of
-Q_theta by a fine scan.
+Q_theta by a fine scan.  ``eigen_char_poly`` is a second, float route to
+the lead eigenvalue: the roots of the characteristic polynomial.
+``first_moment_bound`` multiplies a path count into the single-path term
+of ``rmfperc.analytic``, as the paper's cutset and Z^n bounds do.
+
+``Brick``, ``brick_build``, ``edge_open`` and ``brick_good`` are the
+scalar definitions of the bricklayer coupling, one brick and one edge at a
+time through ``LabelField.uniform_at``; the array goodness grid and the
+witness-path verification of ``rmfperc.bricklayer`` are compared against
+them.
 """
 
 import math
@@ -16,6 +25,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from rmfperc.analytic import _log_path_term
+from rmfperc.bricklayer import BrickConfig, BrickId
 from rmfperc.core import LabelField
 from rmfperc.tree import (
     DEFAULT_CAP,
@@ -158,3 +169,117 @@ def minimal_root_oracle(theta: float) -> float:
         return float(x + step)
     scale = 1 / abs(q_x)
     return float(ctx.findroot(lambda m: q(m) * scale, (x, x + step), solver="anderson"))
+
+
+def first_moment_bound(log_count: float, h: int, theta: float) -> float:
+    """count * (1 + theta*h)^(h+1) / (h+1)!, the first-moment bound on an
+    increasing path of length h among count = exp(log_count) paths, summed
+    in log space: the count or the power alone may leave the float range
+    where their product does not."""
+    return math.exp(log_count + _log_path_term(h, theta * h))
+
+
+def eigen_char_poly(m: float, theta: float):
+    """Characteristic polynomial of the eigenvalue problem, monic in lambda:
+
+        lambda^(K+1) - sum_{i=0}^{K} (-1)^i/(i+1)! m^(i+1) (1-i*theta)^(i+1)
+                       * lambda^(K-i),   K = floor(1/theta).
+
+    Returns (coefficients in descending powers, sorted real roots); the
+    largest real root is the lead eigenvalue.  Raises where 1/theta is an
+    integer, since the constant coefficient vanishes there.
+    """
+    inv = 1.0 / theta
+    if abs(inv - round(inv)) <= 1e-12 * max(1.0, inv):
+        raise ValueError(f"1/theta is an integer ({round(inv)}): the constant coefficient vanishes")
+    k = math.floor(inv)
+    coeffs = np.zeros(k + 2)
+    coeffs[0] = 1.0
+    for i in range(k + 1):
+        c = (-1.0) ** i / math.factorial(i + 1) * m ** (i + 1) * (1.0 - i * theta) ** (i + 1)
+        coeffs[i + 1] = -c
+    roots = np.roots(coeffs)
+    scale = max(1.0, np.abs(roots).max())
+    real = np.sort(roots.real[np.abs(roots.imag) <= 1e-9 * scale])
+    return coeffs, real
+
+
+@dataclass(frozen=True)
+class Brick:
+    """Vertex and edge sets of one brick.
+
+    Sites (a, b) with a in {x*n, ..., x*n + n} and b in {2y, 2y+1, 2y+2};
+    horizontal edges run along the two lower rows, left-vertical edges sit
+    in the second column quarter between the lower rows, right-vertical
+    edges in the third quarter between the upper rows.  No two vertical
+    edges share a vertex, which makes all edge states within a brick
+    independent.
+    """
+
+    id: BrickId
+    n: int
+    vertices: frozenset
+    hor: tuple
+    lver: tuple
+    rver: tuple
+
+    @property
+    def edges(self) -> tuple:
+        return self.hor + self.lver + self.rver
+
+
+def _col0(brick_id: BrickId, n: int) -> int:
+    c = brick_id.x * n
+    if c.denominator != 1:
+        raise ValueError(f"x*n must be integral; got x={brick_id.x}, n={n}")
+    return int(c)
+
+
+def brick_build(brick_id: BrickId, config: BrickConfig) -> Brick:
+    """Materialise the vertex set and the three directed edge sets."""
+    n = config.n
+    if n % 4 != 0:
+        raise ValueError(f"brick subdivision requires n divisible by 4, got {n}")
+    c0 = _col0(brick_id, n)
+    r0 = 2 * brick_id.y
+    vertices = frozenset(
+        (a, b) for a in range(c0, c0 + n + 1) for b in (r0, r0 + 1, r0 + 2)
+    )
+    hor = tuple(
+        ((a, b), (a + 1, b))
+        for b in (r0, r0 + 1)
+        for a in range(c0, c0 + n)
+    )
+    lver = tuple(
+        ((a, r0), (a, r0 + 1)) for a in range(c0 + n // 4, c0 + n // 2)
+    )
+    rver = tuple(
+        ((a, r0 + 1), (a, r0 + 2)) for a in range(c0 + n // 2, c0 + 3 * n // 4)
+    )
+    return Brick(id=brick_id, n=n, vertices=vertices, hor=hor, lver=lver, rver=rver)
+
+
+def edge_open(edge, field: LabelField, config: BrickConfig) -> bool:
+    """Openness of one directed edge of the coupling.
+
+    Horizontal ((a,b),(a+1,b)): source uniform inside the window.
+    Vertical ((a,b),(a,b+1)): source uniform below the target uniform.
+    """
+    (a, b), (a2, b2) = edge
+    if a2 == a + 1 and b2 == b:
+        w = config.window_margin
+        return w < field.uniform_at((a, b)) < 1.0 - w
+    if a2 == a and b2 == b + 1:
+        return field.uniform_at((a, b)) < field.uniform_at((a, b2))
+    raise ValueError(f"not a brick edge: {edge}")
+
+
+def brick_good(brick_id: BrickId, field: LabelField, config: BrickConfig) -> bool:
+    """All horizontal edges open, at least one left-vertical open, and at
+    least one right-vertical open."""
+    brick = brick_build(brick_id, config)
+    return (
+        all(edge_open(e, field, config) for e in brick.hor)
+        and any(edge_open(e, field, config) for e in brick.lver)
+        and any(edge_open(e, field, config) for e in brick.rver)
+    )

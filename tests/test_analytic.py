@@ -7,10 +7,6 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from rmfperc import (
-    CriticalPolynomial,
-    EigenFunction,
-    cutset_first_moment_bound,
-    eigen_char_poly,
     eigenfunction_eval,
     eigenfunction_integral,
     lead_eigenvalue,
@@ -21,7 +17,7 @@ from rmfperc import (
     theta_bounds,
     theta_critical,
 )
-from oracles import minimal_root_oracle
+from oracles import eigen_char_poly, first_moment_bound, minimal_root_oracle
 
 
 def closed_form_mc(theta):
@@ -66,14 +62,6 @@ def test_q_theta_at_quadratic_root():
     root = (1 - math.sqrt(1 - 2 * 0.25**2)) / 0.25**2  # theta = 0.75
     assert root == pytest.approx(1.03337, abs=1e-4)
     assert q_theta_eval(0.75, 1.03337) == pytest.approx(0.0, abs=1e-4)
-
-
-def test_critical_polynomial_object():
-    poly = CriticalPolynomial(0.3)
-    assert poly.degree == 4
-    assert poly.coefficients[0] == 1.0
-    assert poly(0.0) == 1.0
-    assert poly(1.2) == pytest.approx(q_theta_eval(0.3, 1.2))
 
 
 def test_q_theta_rejects_bad_theta():
@@ -186,6 +174,9 @@ def test_path_bound_examples():
     assert path_increase_upper_bound(4, 0.0) == pytest.approx(1.0 / 120.0, rel=1e-15)
     assert path_increase_upper_bound(0, 0.7) == 1.0
     assert path_increase_upper_bound(5, 0.2) == pytest.approx(2.0**6 / 720.0, rel=1e-12)
+    for h in (2.5, 4.0, "4"):
+        with pytest.raises(ValueError, match="integer"):
+            path_increase_upper_bound(h, 0.3)
 
 
 def test_path_bound_large_h_log_space():
@@ -220,6 +211,9 @@ def test_out_of_order_examples():
         assert out_of_order_bound(n, 8, 0.0) == pytest.approx(0.0, abs=1e-18)
     with pytest.raises(ValueError):
         out_of_order_bound(5, 4, 0.5)
+    for n, h in ((1, 2.5), (1.0, 4), (0.5, 4)):
+        with pytest.raises(ValueError, match="integer"):
+            out_of_order_bound(n, h, 0.3)
 
 
 def test_out_of_order_nonnegative():
@@ -243,27 +237,20 @@ def test_telescoping_collapse_exact(theta):
 
 
 def test_cutset_bound_values():
-    assert cutset_first_moment_bound({1: 1}, 0.0) == pytest.approx(0.5, rel=1e-12)
-    # binary tree level-10 cutset at theta = 0.1
-    expected = 2**10 * 2**11 / math.factorial(11)
-    assert cutset_first_moment_bound({10: 2**10}, 0.1) == pytest.approx(
-        expected, rel=1e-12
-    )
-    assert cutset_first_moment_bound({}, 0.3) == 0.0
-    with pytest.raises(ValueError):
-        cutset_first_moment_bound({0: 3}, 0.1)
+    # the level-h cutset of a binary tree holds 2^h paths
+    assert first_moment_bound(0.0, 1, 0.0) == pytest.approx(0.5, rel=1e-12)
+    expected = 2**10 * 2**11 / math.factorial(11)  # level 10 at theta = 0.1
+    assert first_moment_bound(10 * math.log(2), 10, 0.1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_cutset_bound_vanishes_below_threshold():
     # boundary drift 1/(e*m): decay is only ~1/sqrt(h), so check the trend;
     # strictly inside the subcritical region the decay is exponential
     theta = 1.0 / (2.0 * math.e)
-    values = [
-        cutset_first_moment_bound({h: 2**h}, theta) for h in (50, 100, 200, 400, 800)
-    ]
+    values = [first_moment_bound(h * math.log(2), h, theta) for h in (50, 100, 200, 400, 800)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < values[0] / 3.0
-    assert cutset_first_moment_bound({400: 2**400}, 0.9 * theta) < 1e-6
+    assert first_moment_bound(400 * math.log(2), 400, 0.9 * theta) < 1e-6
 
 
 # --- eigenfunctions ----------------------------------------------------------
@@ -284,8 +271,7 @@ def test_eigenfunction_closed_form_above_half():
 def test_eigenfunction_continuity_at_breakpoints():
     for m, theta in [(2.0, 0.3), (1.5, 0.17), (4.0, 0.52)]:
         lam = lead_eigenvalue(m, theta)
-        ef = EigenFunction(m, theta, lam)
-        for bp in ef.breakpoints[1:]:
+        for bp in np.minimum(np.arange(1, math.floor(1 / theta) + 2) * theta, 1.0):
             below = eigenfunction_eval(m, theta, lam, max(bp - 1e-12, 0.0))
             above = eigenfunction_eval(m, theta, lam, min(bp + 1e-12, 1.0))
             assert abs(above - below) < 1e-10
@@ -349,6 +335,22 @@ def test_eigenfunction_validation():
         eigenfunction_eval(-1.0, 0.5, 1.0, 0.3)
     with pytest.raises(ValueError):
         eigenfunction_eval(2.0, 0.5, 1.0, 1.5)
+    nan, inf = math.nan, math.inf
+    for m, theta, lam, u in [
+        (nan, 0.5, 1.0, 0.3), (inf, 0.5, 1.0, 0.3), (2.0, nan, 1.0, 0.3),
+        (2.0, 0.5, nan, 0.3), (2.0, 0.5, inf, 0.3), (2.0, 0.5, 1.0, nan),
+    ]:
+        with pytest.raises(ValueError):
+            eigenfunction_eval(m, theta, lam, u)
+    with pytest.raises(ValueError):
+        eigenfunction_eval(2.0, 0.5, 1.0, np.array([0.2, nan]))
+    with pytest.raises(ValueError):
+        eigenfunction_integral(2.0, 0.5, inf)
+    with pytest.raises(ValueError):
+        eigenfunction_integral(nan, 0.5, 1.0)
+    for m in (nan, inf, 0.0):
+        with pytest.raises(ValueError):
+            lead_eigenvalue(m, 0.5)
 
 
 # --- characteristic polynomial ----------------------------------------------
@@ -379,10 +381,11 @@ def test_char_poly_unit_mean_inverts_critical_mean():
         assert roots[-1] * m_critical(theta) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_char_poly_degenerate_drift_warns():
-    with pytest.warns(RuntimeWarning):
-        coeffs, roots = eigen_char_poly(2.0, 0.5)
-    assert len(roots) >= 1
+def test_char_poly_degenerate_drift_raises():
+    # 1/theta integral: the constant coefficient vanishes
+    for theta in (0.5, 0.25, 1.0):
+        with pytest.raises(ValueError, match="integer"):
+            eigen_char_poly(2.0, theta)
 
 
 # --- proof-level integral identity -------------------------------------------

@@ -8,11 +8,8 @@ from rmfperc import (
     BrickConfig,
     BrickId,
     LabelField,
-    brick_build,
-    brick_good,
     compute_A,
     distance_gap_check,
-    edge_open,
     goodness_probability,
     open_implies_increasing_check,
     simulate_bricklayer,
@@ -20,6 +17,7 @@ from rmfperc import (
 from rmfperc import bricklayer
 from rmfperc.bricklayer import _brick_ids_up_to, _brick_sites
 from conftest import FixedField
+from oracles import brick_build, brick_good, edge_open
 
 
 def enumerate_brick(x, y, n):

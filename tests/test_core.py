@@ -4,21 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rmfperc import (
-    LabelField,
-    Metric,
-    RmfParams,
-    is_increasing,
-    lp_distance,
-    rmf_label,
-)
-from conftest import FixedField
+from rmfperc import LabelField, Metric
 
 
 def test_lp_distance_examples():
-    assert lp_distance(Metric(1), (3, 4)) == 7
-    assert lp_distance(Metric(2), (3, 4)) == 5
-    assert lp_distance(Metric(math.inf), (3, 4)) == 4
+    assert Metric(1).norm((3, 4)) == 7
+    assert Metric(2).norm((3, 4)) == 5
+    assert Metric(math.inf).norm((3, 4)) == 4
 
 
 def test_metric_rejects_q_below_one():
@@ -26,11 +18,6 @@ def test_metric_rejects_q_below_one():
         Metric(0.5)
     with pytest.raises(ValueError):
         Metric(-1)
-
-
-def test_lp_distance_rejects_empty_site():
-    with pytest.raises(ValueError):
-        lp_distance(Metric(2), ())
 
 
 def test_power_key_integer_exactness():
@@ -131,49 +118,7 @@ def test_q1_first_quadrant_steps_increase_by_one():
     for axis in range(3):
         step = tuple(1 if i == axis else 0 for i in range(3))
         moved = tuple(s + d for s, d in zip(site, step))
-        assert lp_distance(m, moved) == lp_distance(m, site) + 1
-
-
-def test_rmf_label_theta_zero_is_house_of_cards():
-    field = FixedField({(4, 2): 0.5})
-    params = RmfParams(0.0, Metric(2))
-    assert rmf_label(field, params, (4, 2)) == 0.5
-
-
-def test_rmf_label_origin_is_uniform():
-    field = LabelField(99)
-    params = RmfParams(0.7, Metric(2))
-    origin = (0, 0)
-    assert rmf_label(field, params, origin) == field.uniform_at(origin)
-
-
-def test_rmf_label_arithmetic():
-    field = FixedField({(2, 1): 0.25})
-    params = RmfParams(1.0, Metric(1))
-    assert rmf_label(field, params, (2, 1)) == pytest.approx(3.25, abs=1e-15)
-
-
-def test_rmf_label_monotone_in_theta():
-    field = LabelField(5)
-    site = (3, -2)
-    labels = [
-        rmf_label(field, RmfParams(t, Metric(2)), site) for t in (0.1, 0.4, 0.9)
-    ]
-    assert labels[0] < labels[1] < labels[2]
-
-
-def test_is_increasing_examples():
-    assert is_increasing([0.1, 0.9, 1.3])
-    assert not is_increasing([0.1, 0.1])
-    assert is_increasing([0.5])
-    with pytest.raises(ValueError):
-        is_increasing([])
-
-
-@given(st.lists(st.floats(0, 1, allow_nan=False), min_size=1, max_size=30))
-def test_is_increasing_matches_pairwise_definition(xs):
-    expected = all(b > a for a, b in zip(xs, xs[1:]))
-    assert is_increasing(xs) == expected
+        assert m.norm(moved) == m.norm(site) + 1
 
 
 def test_uniform_determinism_and_range():
@@ -217,10 +162,3 @@ def test_distinct_seeds_decorrelated():
     a = LabelField(1).uniform_array(np.arange(1000).reshape(-1, 1))
     b = LabelField(2).uniform_array(np.arange(1000).reshape(-1, 1))
     assert not np.array_equal(a, b)
-
-
-def test_rmf_params_validation():
-    with pytest.raises(ValueError):
-        RmfParams(-0.1, Metric(1))
-    with pytest.raises(ValueError):
-        RmfParams(1.5, Metric(1))

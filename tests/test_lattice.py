@@ -16,7 +16,6 @@ from rmfperc import (
     accessible_set,
     crossing_probability,
     export_accessible,
-    lattice_first_moment_bound,
     oriented_coupling_check,
     parse_accessible,
     sweep_accessible_min_theta,
@@ -24,6 +23,7 @@ from rmfperc import (
 )
 from rmfperc.lattice import CrossingEstimate, _Box, _levels, oriented_reach
 from conftest import FixedField
+from oracles import first_moment_bound
 
 
 def nb_config(**kw):
@@ -431,33 +431,27 @@ def test_symmetry_under_reflection():
 
 
 def test_lattice_bound_values():
-    assert lattice_first_moment_bound(1, 0.0, max_degree=4) == pytest.approx(2.0)
+    # log path counts: out_degree^h non-backtracking paths in one orthant,
+    # and Delta (Delta-1)^(h-1) self-avoiding walks at maximum degree Delta
+    def nb(h):
+        return h * math.log(2)
+
+    def walks(h):
+        return math.log(4) + (h - 1) * math.log(3)
+
+    assert first_moment_bound(walks(1), 1, 0.0) == pytest.approx(2.0)
     # at the boundary drift 1/(out_degree * e) the decay is only ~1/sqrt(h):
     # the h=200 value is ~1.13 and the sequence creeps down toward zero
-    v = lattice_first_moment_bound(200, 1.0 / (2 * math.e), out_degree=2)
-    assert v == pytest.approx(1.1321933, rel=1e-6)
-    nb_vals = [
-        lattice_first_moment_bound(h, 1.0 / (2 * math.e), out_degree=2)
-        for h in (200, 800, 3200)
-    ]
+    theta = 1.0 / (2 * math.e)
+    assert first_moment_bound(nb(200), 200, theta) == pytest.approx(1.1321933, rel=1e-6)
+    nb_vals = [first_moment_bound(nb(h), h, theta) for h in (200, 800, 3200)]
     assert all(a > b for a, b in zip(nb_vals, nb_vals[1:]))
     # strictly inside the subcritical region the decay is exponential
-    assert lattice_first_moment_bound(200, 0.8 / (2 * math.e), out_degree=2) < 1e-6
-    vals = [
-        lattice_first_moment_bound(h, 1.0 / (3 * math.e), max_degree=4)
-        for h in (100, 400, 1600, 6400)
-    ]
+    assert first_moment_bound(nb(200), 200, 0.8 * theta) < 1e-6
+    theta = 1.0 / (3 * math.e)
+    vals = [first_moment_bound(walks(h), h, theta) for h in (100, 400, 1600, 6400)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-    assert lattice_first_moment_bound(400, 0.8 / (3 * math.e), max_degree=4) < 1e-6
-
-
-def test_lattice_bound_validation():
-    with pytest.raises(ValueError):
-        lattice_first_moment_bound(5, 0.3)
-    with pytest.raises(ValueError):
-        lattice_first_moment_bound(5, 0.3, max_degree=4, out_degree=2)
-    with pytest.raises(ValueError):
-        lattice_first_moment_bound(5, 0.3, max_degree=1)
+    assert first_moment_bound(walks(400), 400, 0.8 * theta) < 1e-6
 
 
 # --- oriented coupling -------------------------------------------------------------
