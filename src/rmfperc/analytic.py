@@ -64,6 +64,8 @@ def q_theta_eval(theta: ThetaLike, x) -> float:
     """Q_theta(x), rounded once from the high-precision evaluator (exact
     over Fractions)."""
     _check_theta(theta)
+    if not isinstance(x, numbers.Rational) and not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if isinstance(theta, Fraction):
         xq = Fraction(x)
         return sum(
@@ -183,6 +185,12 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_unit_theta(theta: ThetaLike) -> None:
+    """The path bounds accept theta in [0, 1], 0 included; exact or float."""
+    if not (0 <= theta <= 1):
+        raise ValueError(f"theta must lie in [0,1], got {theta}")
+
+
 def _log_path_term(h: int, t: float) -> float:
     """log of (1 + t)^(h+1) / (h+1)!, the first-moment term of a path of
     length h: t = theta*h gives the single-path bound, t = j*theta the
@@ -198,10 +206,9 @@ def path_increase_upper_bound(h: int, theta: ThetaLike):
     _check_integer("path length", h)
     if h < 0:
         raise ValueError(f"path length must be >= 0, got {h}")
+    _check_unit_theta(theta)
     if isinstance(theta, Fraction):
         return (1 + theta * h) ** (h + 1) / Fraction(math.factorial(h + 1))
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
     try:
         return (1.0 + theta * h) ** (h + 1) / math.factorial(h + 1)
     except OverflowError:
@@ -226,14 +233,13 @@ def out_of_order_bound(n: int, h: int, theta: ThetaLike):
         raise ValueError(f"h must be >= 1, got {h}")
     if not (0 <= n <= h):
         raise ValueError(f"n must lie in [0, h]={h}, got {n}")
+    _check_unit_theta(theta)
     if isinstance(theta, Fraction):
         fact = Fraction(math.factorial(h + 1))
         return sum(
             math.comb(n, j) * (-1) ** (n - j) * (1 + j * theta) ** (h + 1) / fact
             for j in range(n + 1)
         )
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
     terms = [
         math.comb(n, j) * (-1) ** (n - j) * math.exp(_log_path_term(h, j * theta))
         for j in range(n + 1)

@@ -36,6 +36,8 @@ __all__ = [
 ]
 
 _A_SCAN_MAX = 10**6
+# bytes of uniforms per slab of the goodness pass: small enough to stay in cache
+_SLAB_BYTES = 440_000
 
 
 @dataclass(frozen=True)
@@ -318,32 +320,56 @@ def open_implies_increasing_check(
 
 
 def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
-    """Goodness of all bricks with x <= depth on the (k, y) grid, evaluated
-    vectorised: rows y in [0, 2*depth], columns k in [0, depth].
+    """Goodness of all bricks with x <= depth on the (k, y) grid: rows y in
+    [0, 2*depth], columns k in [0, depth].
 
     Returns (good, lcol, rcol): the boolean goodness grid and, per brick,
     the site column of its first open left-vertical and right-vertical
-    edge (meaningful where the brick is good).
+    edge (meaningful where the brick is good; -1 where x > depth).
+
+    Brick (k, y) spans the half blocks 2k+y and 2k+y+1 (n/2 columns each)
+    of lattice rows 2y, 2y+1 and 2y+2.  Its left verticals are quarter
+    block 2b+1 (n/4 columns) of row 2y, its right verticals quarter block
+    2b+2 of row 2y+1, where b = 2k+y.  The strip is hashed in slabs of
+    brick levels y0..y1-1, i.e. lattice rows 2*y0..2*y1 (a slab's top row
+    is hashed again as the next slab's bottom row), and from column y0*n/2
+    on, where level y0's first brick starts; each slab stays within
+    ``_SLAB_BYTES`` of uniforms.  Per slab the window and vertical-order
+    predicates are evaluated once and reduced over the blocks; the bricks
+    then gather their blocks.
     """
     n = config.n
     w = config.window_margin
+    half, quarter = n // 2, n // 4
     ny, nk = 2 * depth + 1, depth + 1
+    nb = 2 * nk  # half blocks up to column nk*n, past every edge source
+    hor = np.zeros((ny, nb), dtype=bool)  # [y, b]: rows 2y, 2y+1 in the window
+    lany = np.zeros((ny, nb), dtype=bool)  # [y, b]: some left vertical open
+    rany = np.zeros((ny, nb), dtype=bool)
+    lfirst = np.zeros((ny, nb), dtype=np.int64)  # [y, b]: offset of the first one
+    rfirst = np.zeros((ny, nb), dtype=np.int64)
+    levels = max(1, _SLAB_BYTES // (2 * 8 * nb * half))
+    for y0 in range(0, ny, levels):
+        y1 = min(y0 + levels, ny)
+        # [row, column], the column axis contiguous
+        u = field.uniform_grid([np.arange(y0 * half, nb * half), np.arange(2 * y0, 2 * y1 + 1)]).T
+        src, dst = u[:-1], u[1:]
+        win = ((src > w) & (src < 1.0 - w)).reshape(len(src), -1, half).all(axis=-1)
+        hor[y0:y1, y0:] = win[0::2] & win[1::2]
+        src = src.reshape(y1 - y0, 2, -1, quarter)
+        dst = dst.reshape(y1 - y0, 2, -1, quarter)
+        lver = src[:, 0, 1::2] < dst[:, 0, 1::2]  # [level, b - y0, column in quarter]
+        rver = src[:, 1, 2::2] < dst[:, 1, 2::2]
+        lany[y0:y1, y0:], lfirst[y0:y1, y0:] = lver.any(axis=-1), lver.argmax(axis=-1)
+        rany[y0:y1, y0:-1], rfirst[y0:y1, y0:-1] = rver.any(axis=-1), rver.argmax(axis=-1)
     good = np.zeros((nk, ny), dtype=bool)
     lcol = np.full((nk, ny), -1, dtype=np.int64)
     rcol = np.full((nk, ny), -1, dtype=np.int64)
-    lv = slice(n // 4, n // 2)
-    rv = slice(n // 2, 3 * n // 4)
-    for y in range(ny):
-        ks = np.arange(nk - (y + 1) // 2)  # x = k + y/2 <= depth
-        sites = _brick_sites(ks, y, n)[:, :, :n]  # edge sources: all but the last column
-        u = field.uniform_array(sites)
-        hor_ok = ((u[:, :2] > w) & (u[:, :2] < 1 - w)).all(axis=(1, 2))
-        lver_open = u[:, 0, lv] < u[:, 1, lv]
-        rver_open = u[:, 1, rv] < u[:, 2, rv]
-        c0 = sites[:, 0, 0, 0]
-        good[ks, y] = hor_ok & lver_open.any(axis=1) & rver_open.any(axis=1)
-        lcol[ks, y] = c0 + lv.start + lver_open.argmax(axis=1)
-        rcol[ks, y] = c0 + rv.start + rver_open.argmax(axis=1)
+    k, y = np.nonzero(np.arange(nk)[:, None] + np.arange(ny) / 2 <= depth)
+    b = 2 * k + y
+    good[k, y] = hor[y, b] & hor[y, b + 1] & lany[y, b] & rany[y, b]
+    lcol[k, y] = (2 * b + 1) * quarter + lfirst[y, b]
+    rcol[k, y] = (2 * b + 2) * quarter + rfirst[y, b]
     return good, lcol, rcol
 
 
@@ -361,9 +387,9 @@ def _witness_brick_path(reach: np.ndarray, target) -> list:
     return path
 
 
-def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> list:
+def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> np.ndarray:
     """Explicit open-edge path through a directed chain of good bricks, as
-    a list of sites.
+    an (N, 2) int64 array of sites.
 
     Enters each brick on its bottom row within the first column quarter,
     walks right to its first open left-vertical column, climbs, walks
@@ -387,13 +413,12 @@ def _witness_open_path(brick_path, config: BrickConfig, lcol, rcol) -> list:
             corners += [(lc, r0), (lc, r0 + 1), (rc, r0 + 1), (rc, r0 + 2)]
         else:
             corners.append((c0 + n, r0))  # shared corner with brick (k+1, y)
-    # expand the straight runs between corners into unit steps
-    path = [corners[0]]
-    for a, b in corners[1:]:
-        pa, pb = path[-1]
-        path += [(c, pb) for c in range(pa + 1, a + 1)]
-        path += [(a, r) for r in range(pb + 1, b + 1)]
-    return path
+    # expand each run between corners into unit steps, right ones first
+    corners = np.array(corners, dtype=np.int64)
+    runs = np.diff(corners, axis=0)
+    units = np.tile(np.eye(2, dtype=np.int64), (len(runs), 1))  # right, up, right, up, ...
+    steps = np.repeat(units, runs.ravel(), axis=0)
+    return np.concatenate([corners[:1], corners[0] + np.cumsum(steps, axis=0)])
 
 
 @dataclass(frozen=True)
@@ -481,8 +506,8 @@ def simulate_bricklayer(
             verified += 1
             witness = {
                 "bricks": brick_path,
-                "start": vertex_path[0],
-                "end": vertex_path[-1],
+                "start": vertex_path[0].tolist(),
+                "end": vertex_path[-1].tolist(),
             }
         if keep_records:
             records.append(
@@ -506,10 +531,11 @@ def simulate_bricklayer(
 
 
 def _verify_open_path(vertex_path, config: BrickConfig, field: LabelField):
-    """Independent check of a witness: re-hash every site of the path in
-    one batch and require each consecutive pair to be an oriented edge
-    that is open under the coupling's rules (the scalar reference is
-    ``edge_open`` in ``tests/oracles.py``)."""
+    """Independent check of a witness, an (N, 2) array (or sequence) of
+    sites: re-hash every site of the path in one batch and require each
+    consecutive pair to be an oriented edge that is open under the
+    coupling's rules (the scalar reference is ``edge_open`` in
+    ``tests/oracles.py``)."""
     path = np.asarray(vertex_path, dtype=np.int64)
     step = np.diff(path, axis=0)
     hor = (step[:, 0] == 1) & (step[:, 1] == 0)

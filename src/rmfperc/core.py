@@ -56,6 +56,9 @@ def _u01_np(key: np.ndarray) -> np.ndarray:
     return ((key >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
+_EMPTY_SITE = "a site needs at least one coordinate"
+
+
 @dataclass(frozen=True)
 class Metric:
     """l^q norm parameter; q = math.inf selects the max norm.
@@ -79,6 +82,8 @@ class Metric:
     def power_key(self, site: Sequence[int]):
         """Exact comparison key: ||site||_q^q as an int for integer q,
         max|coord| for q = inf, float fallback otherwise."""
+        if len(site) == 0:
+            raise ValueError(_EMPTY_SITE)
         if self.q == math.inf:
             return max(abs(int(c)) for c in site)
         if self.is_integer:
@@ -97,6 +102,8 @@ class Metric:
         object array once the sums could pass int64), ``power_key`` of
         each site (fsum floats) otherwise."""
         a = np.abs(np.asarray(coords, dtype=np.int64))
+        if a.shape[-1] == 0:
+            raise ValueError(_EMPTY_SITE)
         if self.q == math.inf:
             return a.max(axis=-1)
         if self.is_integer:
@@ -166,6 +173,19 @@ class LabelField:
 
     def uniform_array(self, coords: np.ndarray) -> np.ndarray:
         return _u01_np(self.key_array(coords))
+
+    def uniform_grid(self, axes) -> np.ndarray:
+        """Uniforms of the Cartesian product of the integer ``axes``,
+        ij-indexed: entry [i0, i1, ...] is ``uniform_array`` of the site
+        (axes[0][i0], axes[1][i1], ...), bit for bit, since the keys fold
+        the coordinates in the same order.  Each prefix of coordinates is
+        folded once, not once per site.  The result is in Fortran order:
+        the first axis varies fastest in memory."""
+        key = np.full((), self._root, dtype=np.uint64)
+        for axis in axes:
+            axis = np.asarray(axis).reshape((-1,) + (1,) * key.ndim)
+            key = _combine_np(key, axis)  # the new axis goes outermost
+        return _u01_np(key).T
 
     def uniform_from_key_array(self, keys: np.ndarray) -> np.ndarray:
         return _u01_np(keys)

@@ -221,7 +221,8 @@ class _Box:
         return cls(coords, offset, norms, tuple(further), norms >= r)
 
     def uniforms(self, field: LabelField) -> np.ndarray:
-        return field.uniform_array(self.coords).reshape(self.norms.shape)
+        axis = np.arange(-self.offset, self.norms.shape[0] - self.offset)
+        return np.ascontiguousarray(field.uniform_grid([axis] * self.norms.ndim))
 
 
 def _levels(box: _Box, u: np.ndarray, thetas: list):
@@ -408,9 +409,9 @@ def oriented_coupling_check(theta: float, seed: int, box_radius: int) -> Couplin
                   seed=seed, first_orthant=True)  # validates the inputs and the box size
     field = LabelField(seed)
     r = box_radius
-    coords = np.stack(np.meshgrid(np.arange(r + 2), np.arange(r + 2), indexing="ij"), axis=-1)
-    u = field.uniform_array(coords.reshape(-1, 2)).reshape(r + 2, r + 2)
-    dist = coords[..., 0] + coords[..., 1]
+    axis = np.arange(r + 2)
+    u = field.uniform_grid([axis, axis])
+    dist = axis[:, None] + axis
     x = u + theta * dist
 
     inner = np.s_[: r + 1, : r + 1]

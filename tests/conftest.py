@@ -1,6 +1,13 @@
 import numpy as np
 
 
+def grid_from_array(uniform_array, axes):
+    """``uniform_grid`` of a test double: its own ``uniform_array`` on the
+    ij meshgrid of ``axes``."""
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return uniform_array(mesh.reshape(-1, len(axes))).reshape(mesh.shape[:-1])
+
+
 class FixedField:
     """Test double for LabelField: uniforms from an explicit map or rule."""
 
@@ -21,3 +28,6 @@ class FixedField:
     def uniform_array(self, coords):
         coords = np.asarray(coords)
         return np.array([self.uniform_at(tuple(int(c) for c in row)) for row in coords])
+
+    def uniform_grid(self, axes):
+        return grid_from_array(self.uniform_array, axes)

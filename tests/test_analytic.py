@@ -71,6 +71,13 @@ def test_q_theta_rejects_bad_theta():
         q_theta_eval(1.2, 1.0)
 
 
+@pytest.mark.parametrize("theta", [0.5, Fraction(1, 2)])
+def test_q_theta_rejects_non_finite_x(theta):
+    for x in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            q_theta_eval(theta, x)
+
+
 def test_m_critical_endpoint():
     assert m_critical(1.0) == pytest.approx(1.0, abs=1e-12)
 
@@ -177,6 +184,17 @@ def test_path_bound_examples():
     for h in (2.5, 4.0, "4"):
         with pytest.raises(ValueError, match="integer"):
             path_increase_upper_bound(h, 0.3)
+
+
+def test_path_bounds_reject_theta_outside_unit_interval_exact_or_float():
+    # an exact-rational theta outside [0, 1] used to pass: 16807/120 and -31/3840
+    for theta in (Fraction(3, 2), Fraction(-1, 2), 1.5, -0.5, math.nan):
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            path_increase_upper_bound(4, theta)
+        with pytest.raises(ValueError, match=r"\[0,1\]"):
+            out_of_order_bound(1, 4, theta)
+    assert path_increase_upper_bound(4, Fraction(0)) == Fraction(1, 120)
+    assert out_of_order_bound(1, 4, Fraction(1)) >= 0
 
 
 def test_path_bound_large_h_log_space():

@@ -16,7 +16,7 @@ from rmfperc import (
 )
 from rmfperc import bricklayer
 from rmfperc.bricklayer import _brick_ids_up_to, _brick_sites
-from conftest import FixedField
+from conftest import FixedField, grid_from_array
 from oracles import brick_build, brick_good, edge_open
 
 
@@ -469,6 +469,9 @@ def test_simulate_forced_good_field(monkeypatch):
             coords = np.asarray(coords)
             return 0.05 + 0.9 * (coords[..., 1] + 0.5) / bmax
 
+        def uniform_grid(self, axes):
+            return grid_from_array(self.uniform_array, axes)
+
     monkeypatch.setattr(bricklayer, "LabelField", MonotoneRows)
     res = simulate_bricklayer(cfg, depth, 3, seed=1)
     assert res.frequency == 1.0
@@ -506,18 +509,17 @@ def test_simulate_validation():
         simulate_bricklayer(BrickConfig(8, math.inf), 0, 5)
 
 
-def test_goodness_grid_matches_scalar_op():
-    # the simulator's vectorised goodness agrees with brick_good per brick,
-    # and its recorded vertical columns are the first open ones
+def assert_goodness_matches_scalar(field, cfg, depth):
+    """The simulator's vectorised goodness agrees with brick_good per brick,
+    and its recorded vertical columns are the first open ones."""
     from rmfperc.bricklayer import _goodness_grid
 
-    cfg = BrickConfig(8, math.inf)
-    field = LabelField(61)
-    depth = 4
     grid, lcol, rcol = _goodness_grid(field, cfg, depth)
+    assert grid.shape == lcol.shape == rcol.shape == (depth + 1, 2 * depth + 1)
     for k in range(depth + 1):
         for y in range(2 * depth + 1):
             if k + y / 2 > depth:
+                assert (lcol[k, y], rcol[k, y]) == (-1, -1)
                 continue
             brick_id = BrickId.from_grid(k, y)
             assert grid[k, y] == brick_good(brick_id, field, cfg)
@@ -526,6 +528,28 @@ def test_goodness_grid_matches_scalar_op():
                 first_l = next(e for e in brick.lver if edge_open(e, field, cfg))
                 first_r = next(e for e in brick.rver if edge_open(e, field, cfg))
                 assert (lcol[k, y], rcol[k, y]) == (first_l[0][0], first_r[0][0])
+
+
+def test_goodness_grid_matches_scalar_op():
+    assert_goodness_matches_scalar(LabelField(61), BrickConfig(8, math.inf), 4)
+
+
+@pytest.mark.parametrize(
+    "q, n, depth, slab_bytes",
+    [
+        (math.inf, 4, 9, None),
+        (math.inf, 4, 9, 1),  # one brick level per slab
+        (math.inf, 16, 7, 9000),  # 4 levels per slab, a short last slab
+        (math.inf, 64, 30, None),  # the default slab size: 13 levels per slab
+        (2.0, 64, 3, 20_000),  # 4 levels, then 3
+        (1.5, 128, 2, None),
+    ],
+)
+def test_goodness_grid_matches_scalar_op_across_slabs(monkeypatch, q, n, depth, slab_bytes):
+    if slab_bytes is not None:
+        monkeypatch.setattr(bricklayer, "_SLAB_BYTES", slab_bytes)
+    for seed in (5, 6):
+        assert_goodness_matches_scalar(LabelField(seed), BrickConfig(n, q), depth)
 
 
 def test_witness_path_edges_open_under_scalar_rule():

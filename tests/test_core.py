@@ -13,6 +13,17 @@ def test_lp_distance_examples():
     assert Metric(math.inf).norm((3, 4)) == 4
 
 
+@pytest.mark.parametrize("q", [1, 1.5, 2, math.inf])
+def test_metric_rejects_empty_site(q):
+    m = Metric(q)
+    calls = [(m.power_key, ()), (m.norm, []), (m.norm, np.zeros(0, dtype=np.int64))]
+    calls += [(f, np.zeros((3, 0), dtype=np.int64)) for f in (m.power_key_array, m.norm_array)]
+    for call, site in calls:
+        with pytest.raises(ValueError, match="at least one coordinate"):
+            call(site)
+    assert m.norm_array(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
 def test_metric_rejects_q_below_one():
     with pytest.raises(ValueError):
         Metric(0.5)
@@ -137,6 +148,23 @@ def test_uniform_array_matches_scalar_path():
     vec = field.uniform_array(coords)
     scalars = np.array([field.uniform_at(tuple(int(c) for c in row)) for row in coords])
     assert np.array_equal(vec, scalars)
+
+
+@given(
+    seed=st.integers(-(2**63), 2**64 - 1),
+    axes=st.lists(
+        st.lists(st.integers(-(10**6), 10**6), max_size=6),  # unsorted, repeats allowed
+        min_size=1, max_size=3,
+    ),
+)
+def test_uniform_grid_matches_uniform_array_on_meshgrid(seed, axes):
+    field = LabelField(seed)
+    axes = [np.array(a, dtype=np.int64) for a in axes]
+    grid = field.uniform_grid(axes)
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    expected = field.uniform_array(mesh.reshape(-1, len(axes))).reshape(mesh.shape[:-1])
+    assert grid.shape == tuple(len(a) for a in axes)
+    assert np.array_equal(grid, expected)
 
 
 def test_uniform_moments():

@@ -22,7 +22,7 @@ from rmfperc import (
     sweep_theta,
 )
 from rmfperc.lattice import CrossingEstimate, _Box, _levels, oriented_reach
-from conftest import FixedField
+from conftest import FixedField, grid_from_array
 from oracles import first_moment_bound
 
 
@@ -53,6 +53,9 @@ class TransformedField:
 
     def uniform_array(self, coords):
         return self.base.uniform_array(self.transform(np.asarray(coords)))
+
+    def uniform_grid(self, axes):
+        return grid_from_array(self.uniform_array, axes)
 
 
 def closure_oracle(config, field=None):
