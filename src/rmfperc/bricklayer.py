@@ -333,10 +333,11 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     2b+2 of row 2y+1, where b = 2k+y.  The strip is hashed in slabs of
     brick levels y0..y1-1, i.e. lattice rows 2*y0..2*y1 (a slab's top row
     is hashed again as the next slab's bottom row), and from column y0*n/2
-    on, where level y0's first brick starts; each slab stays within
-    ``_SLAB_BYTES`` of uniforms.  Per slab the window and vertical-order
-    predicates are evaluated once and reduced over the blocks; the bricks
-    then gather their blocks.
+    on, where level y0's first brick starts.  A slab holds at most
+    ``_SLAB_BYTES`` of uniforms, so that it stays in cache, or one level
+    if that is larger.  Per slab the window and vertical-order predicates
+    are evaluated once and reduced over the blocks; the bricks then gather
+    their blocks.
     """
     n = config.n
     w = config.window_margin

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rmfperc import LabelField, Metric
+from conftest import grid_from_array
 
 
 def test_lp_distance_examples():
@@ -161,10 +162,9 @@ def test_uniform_grid_matches_uniform_array_on_meshgrid(seed, axes):
     field = LabelField(seed)
     axes = [np.array(a, dtype=np.int64) for a in axes]
     grid = field.uniform_grid(axes)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    expected = field.uniform_array(mesh.reshape(-1, len(axes))).reshape(mesh.shape[:-1])
     assert grid.shape == tuple(len(a) for a in axes)
-    assert np.array_equal(grid, expected)
+    assert grid.flags.f_contiguous  # the first axis is contiguous
+    assert np.array_equal(grid, grid_from_array(field.uniform_array, axes))
 
 
 def test_uniform_moments():
