@@ -40,7 +40,6 @@ from .lattice import (
 )
 from .bricklayer import (
     BrickConfig,
-    BrickId,
     compute_A,
     distance_gap_check,
     goodness_probability,

@@ -2,7 +2,10 @@
 of Z^2 and an inhomogeneous dependent oriented percolation model.
 
 The bricklayer lattice has vertices V_L = {(x, y): y in Z+, x - y/2 in Z+}
-with oriented edges (x,y)->(x+1,y) and (x,y)->(x+1/2,y+1).  Each vertex is
+with oriented edges (x,y)->(x+1,y) and (x,y)->(x+1/2,y+1).  The module
+works on the grid indices (k, y) = (x - y/2, y), a bijection of V_L onto
+Z+^2 that makes both edge kinds unit steps, (k,y)->(k+1,y) and
+(k,y)->(k,y+1); a brick's x is recovered as k + y/2.  Each vertex is
 blown up into a brick: 3 rows x (n+1) columns of Z+^2 sites.  A horizontal
 edge ((a,b),(a+1,b)) is open iff the source uniform lies in a window
 (3*5^q/n^q, 1-3*5^q/n^q) (or (n^-2, 1-n^-2) for q = inf); a vertical edge
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -26,7 +28,6 @@ from .core import LabelField, Metric
 from .lattice import oriented_reach
 
 __all__ = [
-    "BrickId",
     "BrickConfig",
     "goodness_probability",
     "compute_A",
@@ -38,33 +39,6 @@ __all__ = [
 _A_SCAN_MAX = 10**6
 # bytes of uniforms per slab of the goodness pass: small enough to stay in cache
 _SLAB_BYTES = 440_000
-
-
-@dataclass(frozen=True)
-class BrickId:
-    """Vertex (x, y) of the bricklayer lattice; x is a half-integer with
-    x - y/2 a nonnegative integer."""
-
-    x: Fraction
-    y: int
-
-    def __post_init__(self):
-        x = Fraction(self.x)
-        object.__setattr__(self, "x", x)
-        if self.y < 0:
-            raise ValueError(f"y must be >= 0, got {self.y}")
-        k = x - Fraction(self.y, 2)
-        if k.denominator != 1 or k < 0:
-            raise ValueError(f"({x}, {self.y}) is not a bricklayer vertex")
-
-    @property
-    def k(self) -> int:
-        """Oriented-grid coordinate: (x, y) <-> (k, y) with x = k + y/2."""
-        return int(self.x - Fraction(self.y, 2))
-
-    @classmethod
-    def from_grid(cls, k: int, y: int) -> "BrickId":
-        return cls(Fraction(k) + Fraction(y, 2), y)
 
 
 @dataclass(frozen=True)
@@ -126,6 +100,16 @@ def _brick_sites(ks, ys, n: int) -> np.ndarray:
     return np.stack(np.broadcast_arrays(cols, rows), axis=-1)
 
 
+def _bricks_up_to(x_max: float) -> np.ndarray:
+    """Mask over the (k, y) grid of the bricks with x = k + y/2 <= ``x_max``:
+    rows k in [0, floor(x_max)], columns y in [0, floor(2 x_max)]."""
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
+    k = np.arange(max(0, math.floor(x_max) + 1))
+    y = np.arange(max(0, math.floor(2 * x_max) + 1))
+    return k[:, None] + y / 2 <= x_max
+
+
 def goodness_probability(config: BrickConfig) -> float:
     """Closed form for P(brick is good):
 
@@ -181,19 +165,17 @@ class GapCheckReport:
     violations: tuple = ()
 
 
-def _far_sites(config: BrickConfig, brick_range):
-    """Sites of the bricks in ``brick_range`` (see ``_brick_sites``), the
-    distance threshold A_q(n) (0 for q = inf, where no column threshold
-    applies) and the mask of sites with column a >= A_q(n).  Raises
-    unless the range holds bricks, all with x >= 2, and a site at or
+def _far_sites(config: BrickConfig, x_max: float):
+    """Sites of the bricks with 2 <= x <= ``x_max``, ordered by y and then
+    k (see ``_brick_sites``), the distance threshold A_q(n) (0 for q = inf,
+    where no column threshold applies) and the mask of sites with column
+    a >= A_q(n).  Raises unless the range holds a brick and a site at or
     beyond A_q(n): a check of no site would pass vacuously."""
-    ids = list(brick_range)
-    if not ids:
+    y, k = np.nonzero(_bricks_up_to(x_max).T)
+    keep = k + y / 2 >= 2
+    if not keep.any():
         raise ValueError("the brick range holds no brick with x >= 2")
-    near = [b.x for b in ids if b.x < 2]
-    if near:
-        raise ValueError(f"distance gap lemma needs x >= 2, got {near[0]}")
-    sites = _brick_sites([b.k for b in ids], [b.y for b in ids], config.n)
+    sites = _brick_sites(k[keep], y[keep], config.n)
     a_min = 0 if config.q == math.inf else compute_A(config)
     far = sites[..., 0] >= a_min
     if not far.any():
@@ -204,16 +186,16 @@ def _far_sites(config: BrickConfig, brick_range):
     return sites, a_min, far
 
 
-def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
-    """Verify, for every site (a, b) of every brick in ``brick_range``
+def distance_gap_check(config: BrickConfig, x_max: float = 4.0) -> GapCheckReport:
+    """Verify, for every site (a, b) of every brick with 2 <= x <= ``x_max``
     with a >= A_q(n), that a unit step right increases the l^q distance by
-    more than 1 - 2*5^q/n^q.  Brick ids must have x >= 2, and the range
-    must hold at least one site at or beyond A_q(n).
+    more than 1 - 2*5^q/n^q.  The range must hold at least one site at or
+    beyond A_q(n).
 
     For q = inf there is no column threshold: below the diagonal the gap
     is exactly 1, so the check uses bound 1 - 2/n^2 at every column.
     """
-    sites, a_min, far = _far_sites(config, brick_range)
+    sites, a_min, far = _far_sites(config, x_max)
     bound = 1.0 - 2.0 * config.slack
     # brick, then column, then row
     ab = sites.transpose(0, 2, 1, 3)[far.transpose(0, 2, 1)]
@@ -231,19 +213,6 @@ def distance_gap_check(config: BrickConfig, brick_range) -> GapCheckReport:
         bound=bound,
         violations=tuple(violations),
     )
-
-
-def _brick_ids_up_to(x_max: float):
-    """All bricklayer vertices with x <= x_max, in grid order."""
-    if not math.isfinite(x_max):
-        raise ValueError(f"x_max must be finite, got {x_max}")
-    out = []
-    for y in range(0, int(2 * x_max) + 1):
-        k = 0
-        while k + y / 2 <= x_max:
-            out.append(BrickId.from_grid(k, y))
-            k += 1
-    return out
 
 
 @dataclass(frozen=True)
@@ -281,7 +250,7 @@ def open_implies_increasing_check(
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     w = config.window_margin
-    sites, a_min, far = _far_sites(config, [b for b in _brick_ids_up_to(x_max) if b.x >= 2])
+    sites, a_min, far = _far_sites(config, x_max)
     dist = config.metric.norm_array(sites)
     hor_checked = ver_checked = 0
     violations = []
@@ -366,7 +335,7 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     good = np.zeros((nk, ny), dtype=bool)
     lcol = np.full((nk, ny), -1, dtype=np.int64)
     rcol = np.full((nk, ny), -1, dtype=np.int64)
-    k, y = np.nonzero(np.arange(nk)[:, None] + np.arange(ny) / 2 <= depth)
+    k, y = np.nonzero(_bricks_up_to(depth))
     b = 2 * k + y
     good[k, y] = hor[y, b] & hor[y, b + 1] & lany[y, b] & rany[y, b]
     lcol[k, y] = (2 * b + 1) * quarter + lfirst[y, b]
@@ -486,22 +455,20 @@ def simulate_bricklayer(
     good_sum = 0
     brick_sum = 0
     records = []
-    ks = np.arange(depth + 1)
-    ys = np.arange(2 * depth + 1)
-    valid = ks[:, None] + ys[None, :] / 2 <= depth
-    far = ks[:, None] + ys[None, :] / 2 >= depth
+    valid = _bricks_up_to(depth)
     for r in range(replicas):
         field = LabelField(base.key_of((0x626C, r)))
         good, lcol, rcol = _goodness_grid(field, config, depth)
         good_sum += int(good[valid].sum())
         brick_sum += int(valid.sum())
-        reach = oriented_reach(good)
-        hits = np.argwhere(reach & far)
+        reach = oriented_reach(good)  # only bricks with x <= depth are good
+        k, y = np.nonzero(reach)
+        hits = np.flatnonzero(k + y / 2 >= depth)
         perc = bool(len(hits))
         witness = None
         if perc:
             percolating += 1
-            brick_path = _witness_brick_path(reach, tuple(hits[0].tolist()))
+            brick_path = _witness_brick_path(reach, (int(k[hits[0]]), int(y[hits[0]])))
             vertex_path = _witness_open_path(brick_path, config, lcol, rcol)
             _verify_open_path(vertex_path, config, field)
             verified += 1

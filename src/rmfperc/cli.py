@@ -27,7 +27,6 @@ from .bricklayer import (
     goodness_probability,
     open_implies_increasing_check,
     simulate_bricklayer,
-    _brick_ids_up_to,
 )
 from .core import Metric
 from .lattice import (
@@ -53,6 +52,9 @@ SEED_ENV_VAR = "RMFPERC_SEED"
 EXIT_OK = 0
 EXIT_PARAM = 2
 EXIT_RESOURCE = 3
+
+# README grids have at most 17 points
+_MAX_GRID_POINTS = 10**5
 
 
 def _default_seed() -> int:
@@ -81,6 +83,10 @@ def _parse_grid(text: str) -> list:
     if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad grid bounds {text!r}")
     n = int(round((hi - lo) / step)) + 1
+    if n > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid {text!r} has {n} points, over the limit of {_MAX_GRID_POINTS}"
+        )
     return [lo + i * step for i in range(n) if lo + i * step <= hi + 1e-12]
 
 
@@ -238,13 +244,15 @@ def _cmd_tree_martingale(args):
     _emit(doc, args)
 
 
-def _lattice_config(args) -> LatticeConfig:
+def _lattice_config(args, theta: float = 0.5) -> LatticeConfig:
+    """The config of a lattice command; a grid command's drifts come from
+    its grid, so it keeps the default ``theta``."""
     return LatticeConfig(
         dimension=args.dim,
         metric=Metric(args.q),
         mode=args.mode,
         box_radius=args.radius,
-        theta=args.theta,
+        theta=theta,
         seed=args.seed,
     )
 
@@ -263,7 +271,7 @@ def _lattice_doc(command: str, cfg: LatticeConfig, args) -> dict:
 
 
 def _cmd_lattice_sim(args):
-    cfg = _lattice_config(args)
+    cfg = _lattice_config(args, args.theta)
     est = crossing_probability(cfg, args.replicas)
     doc = _lattice_doc("lattice-sim", cfg, args)
     doc.update(theta=cfg.theta, crossing=est.estimate, stderr=est.stderr)
@@ -279,11 +287,10 @@ def _cmd_lattice_sweep(args):
 
 
 def _cmd_lattice_export(args):
-    cfg = _lattice_config(args)
     if args.grid is not None:
-        aset = sweep_accessible_min_theta(cfg, args.grid)
+        aset = sweep_accessible_min_theta(_lattice_config(args), args.grid)
     else:
-        aset = accessible_set(cfg)
+        aset = accessible_set(_lattice_config(args, args.theta))
     _write(export_accessible(aset, args.format), args.out)
 
 
@@ -312,7 +319,8 @@ def _cmd_bricklayer(args):
 
 def _cmd_bricklayer_check(args):
     cfg = BrickConfig(args.n_brick, args.q)
-    ids = [b for b in _brick_ids_up_to(args.x_max) if b.x >= 2]
+    if not math.isfinite(args.x_max):
+        raise ValueError(f"x_max must be finite, got {args.x_max}")
     doc = {
         "command": "bricklayer-check",
         "n": cfg.n,
@@ -320,7 +328,7 @@ def _cmd_bricklayer_check(args):
         "seed": args.seed,
     }
     if cfg.q != math.inf:
-        gap = distance_gap_check(cfg, ids)
+        gap = distance_gap_check(cfg, args.x_max)
         doc["distance_threshold"] = gap.threshold
         doc["distance_gap_ok"] = gap.ok
         doc["distance_gap_min"] = gap.min_gap
@@ -397,13 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tree_martingale)
 
     def lattice_common(p):
-        p.add_argument("--theta", type=float, default=0.5)
         p.add_argument("--q", type=_parse_q, default=1.0)
         p.add_argument("--radius", type=int, default=100)
         p.add_argument("--mode", choices=("nb", "all"), default="nb")
         p.add_argument("--dim", type=int, default=2)
 
     p = sub.add_parser("lattice-sim", help="lattice crossing probability")
+    p.add_argument("--theta", type=float, default=0.5)
     lattice_common(p)
     p.add_argument("--replicas", type=int, default=200)
     common(p)
@@ -417,8 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lattice_sweep)
 
     p = sub.add_parser("lattice-export", help="export one accessible set (or a min-theta sweep)")
+    drift = p.add_mutually_exclusive_group()
+    drift.add_argument("--theta", type=float, default=0.5)
+    drift.add_argument("--grid", type=_parse_grid, help="lo:hi:step min-theta sweep")
     lattice_common(p)
-    p.add_argument("--grid", type=_parse_grid, default=None)
     common(p)
     p.set_defaults(func=_cmd_lattice_export)
 

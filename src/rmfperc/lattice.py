@@ -51,15 +51,28 @@ class ResourceGuardError(RuntimeError):
     """Raised when a requested box would exceed the memory guard."""
 
 
+def _guard_box(side: int, dimension: int, box_radius: int) -> None:
+    """Raise unless a box of side**dimension sites fits the memory guard."""
+    need = side**dimension * _BYTES_PER_SITE
+    if need > _MAX_BOX_BYTES:
+        raise ResourceGuardError(
+            f"box with radius {box_radius} in dimension "
+            f"{dimension} needs about {need} bytes, over the guard "
+            f"of {_MAX_BOX_BYTES} bytes"
+        )
+
+
 @dataclass(frozen=True)
 class LatticeConfig:
     """Exploration parameters for one accessible-set computation.
 
     ``mode`` is "nb" (non-backtracking: each step strictly increases the
     l^q distance to the origin) or "all" (any simple path).  The box is
-    the sup-norm ball of radius ``box_radius``; crossing means touching
-    ||v||_q >= box_radius.  ``first_orthant`` restricts exploration to
-    nonnegative coordinates.
+    the sup-norm ball of Z^dimension of radius ``box_radius`` about the
+    origin, every orthant included; crossing means touching
+    ||v||_q >= box_radius.  A grid sweep takes its drifts from the grid,
+    not from ``theta``.  Construction raises ``ResourceGuardError`` when
+    the box would pass the memory guard.
     """
 
     dimension: int = 2
@@ -68,7 +81,6 @@ class LatticeConfig:
     box_radius: int = 50
     theta: float = 0.5
     seed: int = 0
-    first_orthant: bool = False
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -79,14 +91,7 @@ class LatticeConfig:
             raise ValueError(f"box_radius must be >= 1, got {self.box_radius}")
         if not (0.0 <= self.theta <= 1.0):
             raise ValueError(f"theta must lie in [0,1], got {self.theta}")
-        side = self.box_radius + 1 if self.first_orthant else 2 * self.box_radius + 1
-        need = side**self.dimension * _BYTES_PER_SITE
-        if need > _MAX_BOX_BYTES:
-            raise ResourceGuardError(
-                f"box with radius {self.box_radius} in dimension "
-                f"{self.dimension} needs about {need} bytes, over the guard "
-                f"of {_MAX_BOX_BYTES} bytes"
-            )
+        _guard_box(2 * self.box_radius + 1, self.dimension, self.box_radius)
 
 
 @dataclass
@@ -105,10 +110,6 @@ class AccessibleSet:
     predecessors: dict
     frontier_reached: bool
     min_theta: Optional[dict] = None
-
-    @property
-    def sites(self):
-        return self.labels.keys()
 
     def __len__(self):
         return len(self.labels)
@@ -197,7 +198,8 @@ class _Box:
     their distances, per step direction the edges a path may take (in
     "nb" mode those that move strictly further from the origin under exact
     power keys, in mode "all" every edge), and the crossing sites
-    (||v||_q >= box_radius)."""
+    (||v||_q >= box_radius).  ``offset`` is the box radius, the origin's
+    index along every axis."""
 
     coords: np.ndarray
     offset: int
@@ -208,9 +210,8 @@ class _Box:
     @classmethod
     def of(cls, config: LatticeConfig) -> "_Box":
         r, dim = config.box_radius, config.dimension
-        offset = 0 if config.first_orthant else r
-        shape = (r + 1 + offset,) * dim
-        coords = np.indices(shape).reshape(dim, -1).T - offset
+        shape = (2 * r + 1,) * dim
+        coords = np.indices(shape).reshape(dim, -1).T - r
         if config.mode == "nb":
             keys = config.metric.power_key_array(coords).reshape(shape)
             further = [kv > ku for ku, kv in (_edge_views(keys, s) for s in _steps(dim))]
@@ -218,10 +219,10 @@ class _Box:
             anywhere = np.ones(shape, dtype=bool)
             further = [_edge_views(anywhere, s)[0] for s in _steps(dim)]
         norms = config.metric.norm_array(coords).reshape(shape)
-        return cls(coords, offset, norms, tuple(further), norms >= r)
+        return cls(coords, r, norms, tuple(further), norms >= r)
 
     def uniforms(self, field: LabelField) -> np.ndarray:
-        axis = np.arange(-self.offset, self.norms.shape[0] - self.offset)
+        axis = np.arange(-self.offset, self.offset + 1)
         return np.ascontiguousarray(field.uniform_grid([axis] * self.norms.ndim))
 
 
@@ -405,10 +406,13 @@ def oriented_coupling_check(theta: float, seed: int, box_radius: int) -> Couplin
     confirms every edge used is label-increasing.  Contractually returns
     ok=True; a violation would come with an explicit witness edge.
     """
-    LatticeConfig(dimension=2, metric=Metric(1), box_radius=box_radius, theta=theta,
-                  seed=seed, first_orthant=True)  # validates the inputs and the box size
-    field = LabelField(seed)
+    if box_radius < 1:
+        raise ValueError(f"box_radius must be >= 1, got {box_radius}")
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta must lie in [0,1], got {theta}")
     r = box_radius
+    _guard_box(r + 2, 2, r)
+    field = LabelField(seed)
     axis = np.arange(r + 2)
     u = field.uniform_grid([axis, axis])
     dist = axis[:, None] + axis

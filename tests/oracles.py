@@ -11,11 +11,13 @@ the lead eigenvalue: the roots of the characteristic polynomial.
 ``first_moment_bound`` multiplies a path count into the single-path term
 of ``rmfperc.analytic``, as the paper's cutset and Z^n bounds do.
 
-``Brick``, ``brick_build``, ``edge_open`` and ``brick_good`` are the
-scalar definitions of the bricklayer coupling, one brick and one edge at a
-time through ``LabelField.uniform_at``; the array goodness grid and the
-witness-path verification of ``rmfperc.bricklayer`` are compared against
-them.
+``BrickId``, ``brick_ids_up_to``, ``Brick``, ``brick_build``,
+``edge_open`` and ``brick_good`` are the scalar definitions of the
+bricklayer coupling in the paper's (x, y) coordinates, one brick and one
+edge at a time through ``LabelField.uniform_at``; the brick masks, the
+array goodness grid and the witness-path verification of
+``rmfperc.bricklayer``, which work on (k, y) grid indices, are compared
+against them.
 """
 
 import math
@@ -26,7 +28,7 @@ import mpmath
 import numpy as np
 
 from rmfperc.analytic import _log_path_term
-from rmfperc.bricklayer import BrickConfig, BrickId
+from rmfperc.bricklayer import BrickConfig
 from rmfperc.core import LabelField
 from rmfperc.tree import (
     DEFAULT_CAP,
@@ -202,6 +204,46 @@ def eigen_char_poly(m: float, theta: float):
     scale = max(1.0, np.abs(roots).max())
     real = np.sort(roots.real[np.abs(roots.imag) <= 1e-9 * scale])
     return coeffs, real
+
+
+@dataclass(frozen=True)
+class BrickId:
+    """Vertex (x, y) of the bricklayer lattice; x is a half-integer with
+    x - y/2 a nonnegative integer."""
+
+    x: Fraction
+    y: int
+
+    def __post_init__(self):
+        x = Fraction(self.x)
+        object.__setattr__(self, "x", x)
+        if self.y < 0:
+            raise ValueError(f"y must be >= 0, got {self.y}")
+        k = x - Fraction(self.y, 2)
+        if k.denominator != 1 or k < 0:
+            raise ValueError(f"({x}, {self.y}) is not a bricklayer vertex")
+
+    @property
+    def k(self) -> int:
+        """Oriented-grid coordinate: (x, y) <-> (k, y) with x = k + y/2."""
+        return int(self.x - Fraction(self.y, 2))
+
+    @classmethod
+    def from_grid(cls, k: int, y: int) -> "BrickId":
+        return cls(Fraction(k) + Fraction(y, 2), y)
+
+
+def brick_ids_up_to(x_max) -> list:
+    """All bricklayer vertices with x <= x_max, ordered by y and then x,
+    compared exactly."""
+    x_max = Fraction(x_max)
+    out = []
+    for y in range(0, math.floor(2 * x_max) + 1):
+        k = 0
+        while Fraction(k) + Fraction(y, 2) <= x_max:
+            out.append(BrickId.from_grid(k, y))
+            k += 1
+    return out
 
 
 @dataclass(frozen=True)

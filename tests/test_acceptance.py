@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 import rmfperc as rp
-from rmfperc.bricklayer import _brick_ids_up_to
-from oracles import brick_good, eigen_char_poly
+from oracles import BrickId, brick_good, eigen_char_poly
 
 
 @contextmanager
@@ -165,8 +164,7 @@ def test_10_coupling_implications():
             0.9995, rp.BrickConfig(64, 2.0), samples=100, seed=31
         )
         assert rep_two.ok and rep_two.violations == ()
-        ids = [b for b in _brick_ids_up_to(6) if b.x >= 2]
-        gap = rp.distance_gap_check(rp.BrickConfig(16, 2.0), ids)
+        gap = rp.distance_gap_check(rp.BrickConfig(16, 2.0), x_max=6)
         assert gap.ok and gap.violations == ()
 
 
@@ -177,7 +175,7 @@ def test_11_brick_statistics():
         base = rp.LabelField(404)
         n = 10_000
         good = 0
-        origin = _brick_ids_up_to(0)[0]
+        origin = BrickId.from_grid(0, 0)
         for i in range(n):
             field = rp.LabelField(base.key_of((0x67, i)))
             good += brick_good(origin, field, cfg)

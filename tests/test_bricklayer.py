@@ -6,7 +6,6 @@ import pytest
 
 from rmfperc import (
     BrickConfig,
-    BrickId,
     LabelField,
     compute_A,
     distance_gap_check,
@@ -15,9 +14,9 @@ from rmfperc import (
     simulate_bricklayer,
 )
 from rmfperc import bricklayer
-from rmfperc.bricklayer import _brick_ids_up_to, _brick_sites
+from rmfperc.bricklayer import _brick_sites, _bricks_up_to
 from conftest import FixedField, grid_from_array
-from oracles import brick_build, brick_good, edge_open
+from oracles import BrickId, brick_build, brick_good, brick_ids_up_to, edge_open
 
 
 def enumerate_brick(x, y, n):
@@ -88,6 +87,15 @@ def test_brick_sets_match_enumeration_oracle(x, y, n):
     sites = _brick_sites([brick.id.k], [y], n)
     assert sites.shape == (1, 3, n + 1, 2)
     assert set(map(tuple, sites.reshape(-1, 2).tolist())) == brick.vertices
+
+
+@pytest.mark.parametrize("x", [-1, -0.5, 0, 0.5, 1, 2.5, 4, 6, 7.25])
+def test_bricks_up_to_matches_exact_brick_ids(x):
+    mask = _bricks_up_to(x)
+    ids = brick_ids_up_to(x)
+    assert {(int(k), int(y)) for k, y in np.argwhere(mask)} == {(b.k, b.y) for b in ids}
+    if ids:  # the smallest box that holds them
+        assert mask.shape == (max(b.k for b in ids) + 1, max(b.y for b in ids) + 1)
 
 
 def test_brick_sites_reject_half_columns():
@@ -217,10 +225,10 @@ def test_empirical_goodness_matches_closed_form():
     base = LabelField(200)
     n = 4000
     good = 0
-    ids = _brick_ids_up_to(0)  # just (0,0); independence comes from fresh fields
+    origin = BrickId.from_grid(0, 0)  # independence comes from fresh fields
     for i in range(n):
         field = LabelField(base.key_of((0x67, i)))
-        good += brick_good(ids[0], field, cfg)
+        good += brick_good(origin, field, cfg)
     p_hat = good / n
     assert abs(p_hat - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
@@ -231,7 +239,7 @@ def test_empirical_goodness_wide_euclidean_brick():
     p = goodness_probability(cfg)
     base = LabelField(201)
     n = 100
-    origin = _brick_ids_up_to(0)[0]
+    origin = BrickId.from_grid(0, 0)
     good = sum(
         brick_good(origin, LabelField(base.key_of((0x68, i))), cfg) for i in range(n)
     )
@@ -288,8 +296,8 @@ def test_distance_gap_axis_and_sample_values():
 
 def test_distance_gap_exhaustive_scan():
     cfg = BrickConfig(16, 2.0)
-    ids = [b for b in _brick_ids_up_to(6) if b.x >= 2]
-    report = distance_gap_check(cfg, ids)
+    ids = [b for b in brick_ids_up_to(6) if b.x >= 2]
+    report = distance_gap_check(cfg, 6)
     assert report.ok
     assert report.violations == ()
     assert report.min_gap > report.bound
@@ -324,17 +332,17 @@ def distance_gap_oracle(config, brick_range):
 )
 def test_distance_gap_equals_scalar_loop(n, q, x_max):
     cfg = BrickConfig(n, q)
-    ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
+    ids = [b for b in brick_ids_up_to(x_max) if b.x >= 2]
     if not ids:  # x_max < 2: a check of no brick would pass vacuously
         with pytest.raises(ValueError, match="no brick"):
-            distance_gap_check(cfg, ids)
+            distance_gap_check(cfg, x_max)
         return
     sites, min_gap, violations = distance_gap_oracle(cfg, ids)
     if not sites:  # A_3(64) = 2096 lies past the last column, 320: no site to check
         with pytest.raises(ValueError, match="beyond A_q"):
-            distance_gap_check(cfg, ids)
+            distance_gap_check(cfg, x_max)
         return
-    report = distance_gap_check(cfg, ids)
+    report = distance_gap_check(cfg, x_max)
     assert (report.sites_checked, report.min_gap, report.violations) == (
         sites, min_gap, violations
     )
@@ -346,16 +354,20 @@ def test_distance_gap_equals_scalar_loop(n, q, x_max):
 
 
 def test_distance_gap_rejects_near_origin_bricks():
+    # the lemma needs x >= 2: a range of nearer bricks only is no check at all
     cfg = BrickConfig(16, 2.0)
-    with pytest.raises(ValueError):
-        distance_gap_check(cfg, [BrickId(Fraction(1), 0)])
+    for x_max in (-1, 0, 1, 1.5, math.nextafter(2, 0)):
+        with pytest.raises(ValueError, match="no brick"):
+            distance_gap_check(cfg, x_max)
+    for x_max in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            distance_gap_check(cfg, x_max)
 
 
 def test_distance_gap_max_norm():
     # below the diagonal a right step moves the max norm by exactly 1
     cfg = BrickConfig(8, math.inf)
-    ids = [b for b in _brick_ids_up_to(4) if b.x >= 2]
-    report = distance_gap_check(cfg, ids)
+    report = distance_gap_check(cfg, 4)
     assert report.ok
     assert report.min_gap == 1.0
 
@@ -397,7 +409,7 @@ def implication_oracle(theta, config, samples, seed, x_max):
     ``Metric.norm``: (horizontal checked, vertical checked, violations)."""
     n, w, metric = config.n, config.window_margin, config.metric
     a_min = 0 if config.q == math.inf else compute_A(config)
-    ids = [b for b in _brick_ids_up_to(x_max) if b.x >= 2]
+    ids = [b for b in brick_ids_up_to(x_max) if b.x >= 2]
     hor = ver = 0
     violations = []
     base = LabelField(seed)

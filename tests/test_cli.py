@@ -56,13 +56,74 @@ def test_pathbound_past_the_float_range(tmp_path):
     validate("pathbound", payload)
 
 
-def test_tree_sim_replay_byte_identical(tmp_path):
+def assert_replays(args, tmp_path, capsysbinary):
+    """Two runs give the same bytes, and ``--out`` gets the bytes stdout does.
+    Returns them."""
+    code, first = run_cli(args, tmp_path, "a.out")
+    assert code == 0 and first
+    assert run_cli(args, tmp_path, "b.out") == (0, first)
+    capsysbinary.readouterr()
+    assert main(args) == 0
+    assert capsysbinary.readouterr().out == first
+    return first
+
+
+def test_tree_sim_replay_byte_identical(tmp_path, capsysbinary):
     args = ["tree-sim", "--theta", "0.5", "--m", "2", "--offspring", "poisson",
             "--horizon", "15", "--replicas", "50", "--cap", "2000", "--seed", "5"]
-    _, first = run_cli(args, tmp_path, "a.json")
-    _, second = run_cli(args, tmp_path, "b.json")
-    assert first == second
-    validate("tree-sim", first)
+    validate("tree-sim", assert_replays(args, tmp_path, capsysbinary))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["tree-martingale", "--theta", "0.4", "--m", "2", "--generations", "4",
+                      "--replicas", "200", "--seed", "2"], id="tree-martingale"),
+        pytest.param(["lattice-sim", "--theta", "0.45", "--radius", "10", "--replicas", "6",
+                      "--seed", "3"], id="lattice-sim"),
+        pytest.param(["lattice-sweep", "--grid", "0.3:0.5:0.1", "--radius", "10",
+                      "--replicas", "6", "--seed", "4"], id="lattice-sweep-nb"),
+        pytest.param(["lattice-sweep", "--mode", "all", "--q", "2", "--grid", "0.3:0.5:0.1",
+                      "--radius", "8", "--replicas", "4", "--seed", "4"], id="lattice-sweep-all"),
+        pytest.param(["lattice-export", "--q", "2", "--radius", "8", "--grid", "0.5:0.7:0.1",
+                      "--seed", "2"], id="lattice-export-grid-json"),
+        pytest.param(["lattice-export", "--q", "2", "--mode", "all", "--radius", "8",
+                      "--grid", "0.5:0.7:0.1", "--format", "csv", "--seed", "2"],
+                     id="lattice-export-grid-csv"),
+        pytest.param(["bricklayer", "--q", "inf", "--n-brick", "16", "--depth", "6",
+                      "--replicas", "5", "--records", "--seed", "4"], id="bricklayer-records"),
+        pytest.param(["bricklayer-check", "--q", "2", "--n-brick", "64", "--theta", "0.9995",
+                      "--samples", "3", "--x-max", "3", "--radius", "20", "--seed", "6"],
+                     id="bricklayer-check-theta"),
+    ],
+)
+def test_seeded_command_replay_byte_identical(tmp_path, capsysbinary, args):
+    assert_replays(args, tmp_path, capsysbinary)
+
+
+def test_bricklayer_records_good_rle_decodes_to_goodness_grid(tmp_path):
+    from rmfperc import BrickConfig, LabelField
+    from rmfperc.bricklayer import _goodness_grid
+
+    seed, depth = 8, 5
+    code, payload = run_cli(
+        ["bricklayer", "--q", "2", "--n-brick", "64", "--depth", str(depth),
+         "--replicas", "4", "--records", "--seed", str(seed)],
+        tmp_path,
+    )
+    assert code == 0
+    cfg = BrickConfig(64, 2.0)
+    for r, rec in enumerate(json.loads(payload)["replicas_detail"]):
+        assert rec["replica"] == r
+        good = _goodness_grid(LabelField(LabelField(seed).key_of((0x626C, r))), cfg, depth)[0]
+        assert len(rec["good_rle"]) == good.shape[1] == 2 * depth + 1
+        for y, (value, *runs) in enumerate(rec["good_rle"]):
+            assert sum(runs) == good.shape[0]
+            decoded = []
+            for run in runs:
+                decoded += [value] * run
+                value = not value
+            assert decoded == good[:, y].tolist()
 
 
 def test_tree_sim_grid(tmp_path):
@@ -244,10 +305,27 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
          "--replicas", "2", "--horizon", "2"],
         ["bounds", "--m", "2", "--br", "nan"],
         ["tree-sim", "--m", "2", "--grid", "0.9:1.5:0.3", "--horizon", "3", "--replicas", "5"],
+        # 100,001 grid points, one over the limit; the grid is refused before it is built
+        ["lattice-sweep", "--grid", "0:1:0.00001", "--radius", "5", "--replicas", "1"],
+        ["tree-sim", "--m", "2", "--grid", "0:1:1e-9", "--horizon", "3", "--replicas", "5"],
+        ["bricklayer-check", "--q", "inf", "--x-max", "inf"],
+        ["bricklayer-check", "--q", "inf", "--x-max", "nan"],
+        # a sweep's drifts come from its grid: a --theta it would not read is refused
+        ["lattice-sweep", "--grid", "0.3:0.4:0.1", "--radius", "5", "--replicas", "1",
+         "--theta", "0.9"],
+        ["lattice-export", "--grid", "0.3:0.5:0.1", "--theta", "0.9", "--radius", "5"],
+        ["lattice-export", "--theta", "0.5", "--grid", "0.3:0.5:0.1", "--radius", "5"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):
     assert run_cli(args, tmp_path) == (2, b"")
+
+
+def test_grid_at_the_point_limit_is_accepted():
+    from rmfperc.cli import _MAX_GRID_POINTS, _parse_grid
+
+    grid = _parse_grid(f"0:{_MAX_GRID_POINTS - 1}:1")
+    assert len(grid) == _MAX_GRID_POINTS and grid[-1] == _MAX_GRID_POINTS - 1
 
 
 @pytest.mark.parametrize("m", ["600", "1e300", "inf"])

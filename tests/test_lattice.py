@@ -83,8 +83,6 @@ def closure_oracle(config, field=None):
             v = tuple(a + b for a, b in zip(u, step))
             if v in labels:
                 continue
-            if config.first_orthant and any(c < 0 for c in v):
-                continue
             if any(abs(c) > radius for c in v):
                 continue
             pv = metric.power_key(v)
@@ -189,13 +187,6 @@ def test_nonbacktracking_subset_of_all_paths():
     assert set(nb.labels) <= set(al.labels)
 
 
-def test_first_orthant_restriction():
-    cfg = LatticeConfig(dimension=2, metric=Metric(1), mode="nb", box_radius=15,
-                        theta=0.9, seed=2, first_orthant=True)
-    aset = accessible_set(cfg)
-    assert all(min(site) >= 0 for site in aset.labels)
-
-
 def test_resource_guard():
     with pytest.raises(ResourceGuardError):
         LatticeConfig(dimension=2, metric=Metric(1), box_radius=6000, theta=0.5)
@@ -206,8 +197,7 @@ def test_resource_guard():
 def test_resource_guard_counts_bytes_of_the_box():
     with pytest.raises(ResourceGuardError, match="bytes"):
         LatticeConfig(dimension=3, metric=Metric(1), box_radius=200)
-    # the first orthant holds a 2^dim times smaller box
-    LatticeConfig(dimension=3, metric=Metric(1), box_radius=200, first_orthant=True)
+    LatticeConfig(dimension=3, metric=Metric(1), box_radius=150)
     LatticeConfig(dimension=2, metric=Metric(1), box_radius=2000)
 
 
@@ -234,14 +224,13 @@ def test_non_integer_metric_exploration():
     q=st.sampled_from([1, 1.5, 2, 3, math.inf, 40]),
     mode=st.sampled_from(["nb", "all"]),
     shape=st.sampled_from([(2, 1), (2, 4), (2, 9), (3, 1), (3, 4)]),
-    first_orthant=st.booleans(),
     theta=st.sampled_from([0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 1.0]),
     seed=st.integers(0, 10**6),
 )
-def test_accessible_set_equals_closure_oracle(q, mode, shape, first_orthant, theta, seed):
+def test_accessible_set_equals_closure_oracle(q, mode, shape, theta, seed):
     dim, r = shape
     cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r,
-                        theta=theta, seed=seed, first_orthant=first_orthant)
+                        theta=theta, seed=seed)
     aset = accessible_set(cfg)
     assert_same_closure(aset, closure_oracle(cfg))
     assert_witnesses(aset)
@@ -336,14 +325,13 @@ theta_grids = st.lists(
 @given(
     q=lattice_q,
     shape=st.sampled_from([(2, 1), (2, 4), (2, 9), (3, 1), (3, 4)]),
-    first_orthant=st.booleans(),
     grid=theta_grids,
     seed=st.integers(0, 10**6),
 )
-def test_nb_levels_equal_closure_per_theta(q, shape, first_orthant, grid, seed):
+def test_nb_levels_equal_closure_per_theta(q, shape, grid, seed):
     dim, r = shape
     cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode="nb", box_radius=r,
-                        seed=seed, first_orthant=first_orthant)
+                        seed=seed)
     thetas = sorted(set(grid))
     box = _Box.of(cfg)
     field = LabelField(seed)
@@ -359,14 +347,13 @@ def test_nb_levels_equal_closure_per_theta(q, shape, first_orthant, grid, seed):
     q=lattice_q,
     mode=st.sampled_from(["nb", "all"]),
     shape=st.sampled_from([(2, 2), (2, 6), (3, 3)]),
-    first_orthant=st.booleans(),
     grid=theta_grids,
     seed=st.integers(0, 10**6),
 )
-def test_sweep_theta_equals_crossing_probability(q, mode, shape, first_orthant, grid, seed):
+def test_sweep_theta_equals_crossing_probability(q, mode, shape, grid, seed):
     dim, r = shape
     cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r,
-                        seed=seed, first_orthant=first_orthant)
+                        seed=seed)
     rows = sweep_theta(cfg, grid, 12)
     assert rows == sweep_theta_oracle(cfg, grid, 12)
     for row in rows:
@@ -386,12 +373,11 @@ def test_sweep_theta_rejects_bad_grid_and_replicas(mode):
 
 
 @pytest.mark.parametrize("q", [1, math.inf])
-@pytest.mark.parametrize("first_orthant", [False, True])
-def test_nb_levels_ties_count_as_not_increasing(q, first_orthant):
+def test_nb_levels_ties_count_as_not_increasing(q):
     # quarter-step uniforms and integer distances make exact label ties
     base = LabelField(5)
     field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
-    cfg = nb_config(metric=Metric(q), box_radius=6, first_orthant=first_orthant)
+    cfg = nb_config(metric=Metric(q), box_radius=6)
     thetas = [0.0, 0.25, 0.5, 1.0]
     box = _Box.of(cfg)
     lvl, _ = _levels(box, box.uniforms(field), thetas)
@@ -512,10 +498,14 @@ def test_oriented_coupling_validates_inputs():
     for radius in (0, -3):
         with pytest.raises(ValueError, match="box_radius"):
             oriented_coupling_check(0.5, 1, radius)
-    with pytest.raises(ValueError, match="theta"):
-        oriented_coupling_check(1.5, 1, 10)
+    for theta in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError, match="theta"):
+            oriented_coupling_check(theta, 1, 10)
     with pytest.raises(ResourceGuardError):
         oriented_coupling_check(0.5, 1, 6000)
+    # the guard counts the (r + 2)^2 sites the check hashes: 5793^2 * 128 > 2^32
+    with pytest.raises(ResourceGuardError, match="radius 5791"):
+        oriented_coupling_check(0.5, 1, 5791)
 
 
 def test_oriented_coupling_trivial_drifts():

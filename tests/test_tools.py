@@ -1,6 +1,10 @@
-"""Tests of tools/bench_pairs.py, the script that writes the BENCH_*.json files."""
+"""Tests of tools/bench_pairs.py and tools/cli_diff.py, the scripts that write
+the BENCH_*.json files."""
 
+import hashlib
 import importlib.util
+import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -82,3 +86,65 @@ def test_parse_args_rejects_empty_seed_range(capsys):
         )
     assert exc.value.code == 2
     assert "empty seed range 5:4" in capsys.readouterr().err
+
+
+# --- tools/cli_diff.py ----------------------------------------------------------
+
+_CLI_DIFF_PATH = _PATH.parent / "cli_diff.py"
+_CLI_DIFF_SPEC = importlib.util.spec_from_file_location("cli_diff", _CLI_DIFF_PATH)
+cli_diff = importlib.util.module_from_spec(_CLI_DIFF_SPEC)
+_CLI_DIFF_SPEC.loader.exec_module(cli_diff)
+
+_SRC = _PATH.parents[1] / "src"
+
+
+def _tree(root: Path, version=None) -> Path:
+    """A copy of this checkout's package under ``root/src``, optionally
+    with another version string."""
+    shutil.copytree(_SRC / "rmfperc", root / "src" / "rmfperc",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if version is not None:
+        init = root / "src" / "rmfperc" / "__init__.py"
+        init.write_text(init.read_text().replace('__version__ = "', f'__version__ = "{version}'))
+    return root
+
+
+def test_cli_diff_digest_covers_stdout_exit_code_and_out_file(tmp_path, monkeypatch, capsysbinary):
+    from rmfperc.cli import main
+
+    tree = _tree(tmp_path / "a")
+    assert main(["critical", "--theta", "0.75"]) == 0
+    payload = capsysbinary.readouterr().out
+    expected = hashlib.sha256(payload + b"\nexit=0\n").hexdigest()[:16]
+    assert cli_diff.digest(tree, "critical --theta 0.75") == expected
+    with_file = hashlib.sha256(b"\nexit=0\n" + b"c.json\n" + payload).hexdigest()[:16]
+    assert cli_diff.digest(tree, "critical --theta 0.75 --out c.json") == with_file
+    bad = hashlib.sha256(b"\nexit=2\n").hexdigest()[:16]
+    assert cli_diff.digest(tree, "critical --theta 1.7") == bad
+    # a seed from the environment would fail this command; the tool unsets it
+    monkeypatch.setenv("RMFPERC_SEED", "not-a-seed")
+    command = "lattice-sim --radius 3 --replicas 2"
+    assert cli_diff.digest(tree, command) != hashlib.sha256(b"\nexit=2\n").hexdigest()[:16]
+
+
+def test_cli_diff_record_and_merge(tmp_path):
+    parent, same, other = _tree(tmp_path / "p"), _tree(tmp_path / "s"), _tree(tmp_path / "o", "9.")
+    commands = tmp_path / "commands.txt"
+    commands.write_text("# analytic\ncritical --theta 0.75\n\npathbound --horizon 4 --theta 0\n")
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"workloads": {"tree-sweep": {}}}))
+    argv = [str(parent), str(same), "--commands", str(commands), "--out", str(out)]
+    assert cli_diff.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == {"tree-sweep": {}}
+    record = doc["cli_diff"]
+    assert record["identical"] is True
+    assert list(record["commands"]) == ["critical --theta 0.75", "pathbound --horizon 4 --theta 0"]
+    assert all(isinstance(d, str) and len(d) == 16 for d in record["commands"].values())
+    # the version string is in every output, so each command differs
+    assert cli_diff.main([str(parent), str(other), "--commands", str(commands), "--out", str(out)]) == 1
+    record = json.loads(out.read_text())["cli_diff"]
+    assert record["identical"] is False
+    for command, digests in record["commands"].items():
+        assert set(digests) == {"parent", "change"}
+        assert digests["parent"] != digests["change"]
