@@ -264,7 +264,12 @@ def _check_eigen(m: float, theta: float, lam: float) -> None:
 
 
 def eigenfunction_eval(m: float, theta: float, lam: float, u):
-    """Evaluate f_{m,theta,lambda} at u in [0,1] (scalar or array)."""
+    """Evaluate f_{m,theta,lambda} at u in [0,1] (scalar or array).
+
+    On piece j (u in [j*theta, (j+1)*theta)) f is the sum over i = 0..j of
+    (-m/lambda)^i / i! * (u - i*theta)^i.  The points are ordered by piece
+    once, so term i is added to the contiguous run of points with j >= i,
+    in order i = 0, 1, ..., each point's sum starting from 0.0."""
     _check_eigen(m, theta, lam)
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -272,15 +277,21 @@ def eigenfunction_eval(m: float, theta: float, lam: float, u):
         raise ValueError("u must lie in [0, 1]")
     kmax = _floor_one_over(theta)
     j = np.minimum(np.floor(uu / theta + 1e-12).astype(np.int64), kmax)
-    out = np.zeros_like(uu)
+    # small unsigned keys take numpy's radix sort
+    order = np.argsort(j.astype(np.min_scalar_type(kmax)), kind="stable")
+    us = uu[order]
+    pieces = np.bincount(j, minlength=kmax + 1)
+    starts = np.cumsum(pieces) - pieces  # points on pieces below i
+    acc = np.zeros_like(uu)
     ratio = -m / lam
     coeff = 1.0
-    for i in range(kmax + 1):
-        mask = j >= i
-        if not mask.any():
+    for i, s in enumerate(starts.tolist()):
+        if s == len(us):
             break
-        out[mask] += coeff * (uu[mask] - i * theta) ** i
+        acc[s:] += coeff * (us[s:] - i * theta) ** i
         coeff *= ratio / (i + 1)
+    out = np.empty_like(uu)
+    out[order] = acc
     return float(out[0]) if scalar else out
 
 

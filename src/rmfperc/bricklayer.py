@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .core import LabelField, Metric
-from .lattice import oriented_reach
+from .lattice import _MAX_BOX_BYTES, ResourceGuardError, oriented_reach
 
 __all__ = [
     "BrickConfig",
@@ -165,12 +165,31 @@ class GapCheckReport:
     violations: tuple = ()
 
 
+def _guard_sites(config: BrickConfig, x_max: float) -> None:
+    """Raise ``ResourceGuardError`` unless the int64 (bricks, 3, n+1, 2)
+    site array of the bricks with x <= ``x_max`` fits the lattice byte
+    guard.  The bricks are counted before anything is built: rows of even
+    y hold floor(x_max) + 1 - y/2 of them, rows of odd y
+    floor(x_max - 1/2) + 1 - (y-1)/2."""
+    if not math.isfinite(x_max):
+        raise ValueError(f"x_max must be finite, got {x_max}")
+    tops = (max(math.floor(x_max - h), -1) for h in (0.0, 0.5))
+    bricks = sum((f + 1) * (f + 2) // 2 for f in tops)
+    need = bricks * 3 * (config.n + 1) * 2 * 8
+    if need > _MAX_BOX_BYTES:
+        raise ResourceGuardError(
+            f"{bricks} bricks up to x_max={x_max} need {need} bytes of sites, "
+            f"over the guard of {_MAX_BOX_BYTES} bytes"
+        )
+
+
 def _far_sites(config: BrickConfig, x_max: float):
     """Sites of the bricks with 2 <= x <= ``x_max``, ordered by y and then
     k (see ``_brick_sites``), the distance threshold A_q(n) (0 for q = inf,
     where no column threshold applies) and the mask of sites with column
     a >= A_q(n).  Raises unless the range holds a brick and a site at or
     beyond A_q(n): a check of no site would pass vacuously."""
+    _guard_sites(config, x_max)
     y, k = np.nonzero(_bricks_up_to(x_max).T)
     keep = k + y / 2 >= 2
     if not keep.any():

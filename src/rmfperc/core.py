@@ -36,15 +36,28 @@ def _combine(key: int, value: int) -> int:
     return _mix(key ^ ((value & _MASK) * _GOLDEN & _MASK) ^ _GOLDEN)
 
 
+# The array forms work in place on their own temporaries: the same integer
+# operations as the scalar forms, with fewer fresh arrays per call.
+
+
 def _mix_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    t = z >> np.uint64(30)
+    t ^= z
+    t *= np.uint64(_MIX1)
+    z = t >> np.uint64(27)
+    z ^= t
+    z *= np.uint64(_MIX2)
+    t = z >> np.uint64(31)
+    t ^= z
+    return t
 
 
 def _combine_np(key: np.ndarray, value: np.ndarray) -> np.ndarray:
-    v = value.astype(np.uint64) * np.uint64(_GOLDEN)
-    return _mix_np(key ^ v ^ np.uint64(_GOLDEN))
+    # the unsafe cast wraps signed values as astype(np.uint64) does
+    v = np.multiply(value, np.uint64(_GOLDEN), dtype=np.uint64, casting="unsafe")
+    z = key ^ v
+    z ^= np.uint64(_GOLDEN)
+    return _mix_np(z)
 
 
 def _u01(key: int) -> float:
@@ -53,7 +66,10 @@ def _u01(key: int) -> float:
 
 
 def _u01_np(key: np.ndarray) -> np.ndarray:
-    return ((key >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (key >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 _EMPTY_SITE = "a site needs at least one coordinate"

@@ -36,9 +36,12 @@ __all__ = [
 
 DEFAULT_CAP = 10**6
 
-# expected children of one batch step; only live members count, and a
-# single replica, which the cap bounds instead, may pass it
-MEMBER_BUDGET = 250_000
+# expected children of one batch step, and the most children one slice of
+# a step makes (one parent may pass it alone).  Only live members count.
+# 2^14 children make 128 kB temporaries: a step's working set stays in a
+# 2 MB L2 cache, and the allocator reuses heap pages instead of faulting
+# in fresh ones for each array (README, "Numerical notes", for the sweep)
+MEMBER_BUDGET = 16_384
 
 # surviving replicas the threshold crossing needs at the full horizon
 MIN_EVENTS = 10
@@ -126,24 +129,49 @@ class OffspringDistribution:
         return np.searchsorted(cdf, u, side="left").astype(np.int64)
 
 
-def _step_arrays(uniforms, keys, theta, offspring, field):
-    """One synchronous generation for a flat batch of parents.
+def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
+    """One synchronous generation for a flat batch of parents, where
+    ``replica`` maps each parent to its replica's slot in ``range(slots)``.
 
-    Returns (child_uniforms, child_keys, parent_index) for the kept
-    children; parent_index maps each child to its parent's slot.
+    Returns (child_uniforms, child_keys, child_replica, counts): the kept
+    children in parent order and, per slot, the number of kept children.
+    The parents are walked in slices of at most ``MEMBER_BUDGET`` children
+    (one parent may pass it alone).  A replica stops stepping once its
+    kept count passes ``cap``: its count is then some value above ``cap``
+    and none of its children is returned, since the caller drops it.
     """
     count_u = field.uniform_from_key_array(field.derive_key_array(keys, np.uint64(_COUNT_TAG)))
     counts = offspring.sample(count_u)
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
-    parent_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    child_ord = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts)
-    child_keys = field.derive_key_array(keys[parent_idx], _CHILD_BASE + child_ord)
-    child_u = field.uniform_from_key_array(child_keys)
-    keep = child_u > uniforms[parent_idx] - theta
-    return child_u[keep], child_keys[keep], parent_idx[keep]
+    ends = np.cumsum(counts)
+    kept = np.zeros(slots, dtype=np.int64)
+    pieces = []
+    lo = 0
+    while lo < len(counts):
+        hi = max(int(np.searchsorted(ends, ends[lo] - counts[lo] + MEMBER_BUDGET, "right")), lo + 1)
+        parents = np.arange(lo, hi)
+        parents = parents[kept[replica[lo:hi]] <= cap]
+        lo = hi
+        c = counts[parents]
+        total = int(c.sum())
+        if total == 0:
+            continue
+        parent_idx = np.repeat(parents, c)
+        # _CHILD_BASE plus each child's index among its siblings
+        child_ids = np.arange(_CHILD_BASE, _CHILD_BASE + total, dtype=np.uint64)
+        child_ids -= np.repeat((np.cumsum(c) - c).astype(np.uint64), c)
+        child_keys = field.derive_key_array(keys[parent_idx], child_ids)
+        child_u = field.uniform_from_key_array(child_keys)
+        keep = child_u > np.repeat(uniforms[parents] - theta, c)
+        child_rep = replica[parent_idx[keep]]
+        kept += np.bincount(child_rep, minlength=slots)
+        pieces.append((child_u[keep], child_keys[keep], child_rep))
+        over = kept > cap
+        if over[child_rep].any():  # a replica passed the cap in this slice
+            live = [~over[r] for _, _, r in pieces]
+            pieces = [tuple(a[m] for a in piece) for piece, m in zip(pieces, live)]
+    if not pieces:
+        return np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), kept
+    return (*(np.concatenate(arrays) for arrays in zip(*pieces)), kept)
 
 
 @dataclass(frozen=True)
@@ -184,13 +212,13 @@ class _BatchState:
         self.replica = np.arange(n, dtype=np.int64)
         self.rows = np.arange(n)
 
-    def step(self, theta, offspring, field) -> np.ndarray:
-        """One generation for every replica; returns the new frontier sizes."""
-        self.uniforms, self.keys, parent_idx = _step_arrays(
-            self.uniforms, self.keys, theta, offspring, field
+    def step(self, theta, offspring, field, cap) -> np.ndarray:
+        """One generation for every replica; returns the new frontier sizes,
+        where a size above ``cap`` leaves that replica without members."""
+        self.uniforms, self.keys, self.replica, counts = _step_arrays(
+            self.uniforms, self.keys, self.replica, len(self.rows), theta, offspring, field, cap
         )
-        self.replica = self.replica[parent_idx]
-        return np.bincount(self.replica, minlength=len(self.rows))
+        return counts
 
     def keep(self, mask: np.ndarray):
         """Drop the replicas whose slot in ``mask`` is False."""
@@ -256,7 +284,7 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
                 sizes[state.rows, gen] = np.bincount(state.replica, minlength=n)
             if gen == generations:
                 break
-            counts = state.step(theta, offspring, field)
+            counts = state.step(theta, offspring, field, cap)
             gen += 1
             capped_at[state.rows[counts > cap]] = gen
             extinct_at[state.rows[counts == 0]] = gen

@@ -7,7 +7,9 @@ generation at a time from the same hash streams as the batched engine in
 replica at every grid point.  ``survival_oracle`` integrates the survival
 recursion on a grid, and ``minimal_root_oracle`` finds the minimal root of
 Q_theta by a fine scan.  ``eigen_char_poly`` is a second, float route to
-the lead eigenvalue: the roots of the characteristic polynomial.
+the lead eigenvalue: the roots of the characteristic polynomial, and
+``eigenfunction_oracle`` evaluates the lead eigenfunction one boolean mask
+per polynomial term.
 ``first_moment_bound`` multiplies a path count into the single-path term
 of ``rmfperc.analytic``, as the paper's cutset and Z^n bounds do.
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from rmfperc.analytic import _log_path_term
+from rmfperc.analytic import _floor_one_over, _log_path_term
 from rmfperc.bricklayer import BrickConfig
 from rmfperc.core import LabelField
 from rmfperc.tree import (
@@ -81,8 +83,10 @@ def step_frontier(
     """
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0,1], got {theta}")
-    child_u, child_keys, _ = _step_arrays(
-        frontier.uniforms, frontier.keys, theta, offspring, field
+    # one replica slot and no cap in the engine: the oracle truncates below
+    child_u, child_keys, _, _ = _step_arrays(
+        frontier.uniforms, frontier.keys, np.zeros(frontier.size, dtype=np.int64), 1,
+        theta, offspring, field, math.inf,
     )
     truncated = frontier.truncated
     if len(child_u) > cap:
@@ -204,6 +208,25 @@ def eigen_char_poly(m: float, theta: float):
     scale = max(1.0, np.abs(roots).max())
     real = np.sort(roots.real[np.abs(roots.imag) <= 1e-9 * scale])
     return coeffs, real
+
+
+def eigenfunction_oracle(m: float, theta: float, lam: float, u):
+    """f_{m,theta,lambda} at u, one boolean mask per term: term i of the
+    piece sum is added to every point with piece index j >= i."""
+    scalar = np.isscalar(u)
+    uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    kmax = _floor_one_over(theta)
+    j = np.minimum(np.floor(uu / theta + 1e-12).astype(np.int64), kmax)
+    out = np.zeros_like(uu)
+    ratio = -m / lam
+    coeff = 1.0
+    for i in range(kmax + 1):
+        mask = j >= i
+        if not mask.any():
+            break
+        out[mask] += coeff * (uu[mask] - i * theta) ** i
+        coeff *= ratio / (i + 1)
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)

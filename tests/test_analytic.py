@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
@@ -17,7 +18,7 @@ from rmfperc import (
     theta_bounds,
     theta_critical,
 )
-from oracles import eigen_char_poly, first_moment_bound, minimal_root_oracle
+from oracles import eigen_char_poly, eigenfunction_oracle, first_moment_bound, minimal_root_oracle
 
 
 def closed_form_mc(theta):
@@ -344,6 +345,39 @@ def test_lead_eigenvalue_scaling():
             _, roots2 = eigen_char_poly(2.0, theta)
             _, roots1 = eigen_char_poly(1.0, theta)
             assert roots2[-1] == pytest.approx(2.0 * roots1[-1], rel=1e-9)
+
+
+def _piece_edges(theta):
+    """0, 1 and every breakpoint i*theta in [0, 1] with its neighbours
+    one ulp away, inside [0, 1]."""
+    bps = np.arange(math.floor(1 / theta) + 2) * theta
+    pts = np.concatenate([[0.0, 1.0], bps, np.nextafter(bps, -1.0), np.nextafter(bps, 2.0)])
+    return pts[(pts >= 0.0) & (pts <= 1.0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    theta=st.one_of(st.sampled_from([1.0, 0.5, 0.25, 0.3, 0.05, 0.002]), st.floats(0.002, 1.0)),
+    m=st.floats(0.5, 5.0),
+    lam=st.floats(0.3, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 400),
+    data=st.data(),
+)
+def test_eigenfunction_eval_equals_mask_oracle(theta, m, lam, seed, size, data):
+    # bit for bit, on any array, on any slice of one and on scalars
+    rng = np.random.default_rng(seed)
+    u = rng.permutation(np.concatenate([_piece_edges(theta), rng.random(size)]))
+    whole = eigenfunction_eval(m, theta, lam, u)
+    assert np.array_equal(whole, eigenfunction_oracle(m, theta, lam, u))
+    lo = data.draw(st.integers(0, len(u)), label="lo")
+    hi = data.draw(st.integers(lo, len(u)), label="hi")
+    step = data.draw(st.integers(1, 5), label="step")
+    assert np.array_equal(eigenfunction_eval(m, theta, lam, u[lo:hi:step]), whole[lo:hi:step])
+    for x in u[:: max(1, len(u) // 8)].tolist():
+        got = eigenfunction_eval(m, theta, lam, x)
+        assert isinstance(got, float)
+        assert got == eigenfunction_oracle(m, theta, lam, x)
 
 
 def test_eigenfunction_validation():

@@ -364,6 +364,20 @@ def test_distance_gap_rejects_near_origin_bricks():
             distance_gap_check(cfg, x_max)
 
 
+@pytest.mark.parametrize("x_max", [2, 2.5, 3.7, 4, 6.25, 17.5, 40])
+def test_site_guard_counts_the_bricks_exactly(monkeypatch, x_max):
+    # the guard sits at the bytes of the brick sites up to x_max, x < 2 included
+    cfg = BrickConfig(64, 2.0)
+    need = int(_bricks_up_to(x_max).sum()) * 3 * (cfg.n + 1) * 2 * 8
+    monkeypatch.setattr(bricklayer, "_MAX_BOX_BYTES", need)
+    distance_gap_check(cfg, x_max)
+    monkeypatch.setattr(bricklayer, "_MAX_BOX_BYTES", need - 1)
+    with pytest.raises(bricklayer.ResourceGuardError):
+        distance_gap_check(cfg, x_max)
+    with pytest.raises(bricklayer.ResourceGuardError):
+        open_implies_increasing_check(0.9995, cfg, 1, x_max=x_max)
+
+
 def test_distance_gap_max_norm():
     # below the diagonal a right step moves the max norm by exactly 1
     cfg = BrickConfig(8, math.inf)

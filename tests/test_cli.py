@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from importlib import resources
 
 import jsonschema
@@ -350,6 +351,18 @@ def test_resource_guard_exit_code(tmp_path):
 
 def test_oversized_coupling_box_exit_code(tmp_path):
     assert run_cli(["bricklayer-check", "--radius", "6000"], tmp_path) == (3, b"")
+
+
+def test_oversized_brick_range_exit_code(tmp_path):
+    # the brick count is found in closed form: nothing is built before the guard
+    tracemalloc.start()
+    try:
+        code = run_cli(["bricklayer-check", "--x-max", "100000"], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (3, b"")
+    assert peak < 1e6
 
 
 def test_unknown_subcommand_exit_code():

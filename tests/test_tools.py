@@ -1,9 +1,10 @@
 """Tests of tools/bench_pairs.py and tools/cli_diff.py, the scripts that write
-the BENCH_*.json files."""
+the BENCH_*.json files, and of tools/cli_commands.txt, the command list."""
 
 import hashlib
 import importlib.util
 import json
+import shlex
 import shutil
 from pathlib import Path
 
@@ -148,3 +149,15 @@ def test_cli_diff_record_and_merge(tmp_path):
     for command, digests in record["commands"].items():
         assert set(digests) == {"parent", "change"}
         assert digests["parent"] != digests["change"]
+
+
+def test_committed_command_list_parses():
+    # every line of the byte-identity list must stay a valid rmfperc command
+    from rmfperc.cli import build_parser
+
+    commands = cli_diff.read_commands(_PATH.parent / "cli_commands.txt")
+    assert len(commands) == len(set(commands))
+    parser = build_parser()
+    for command in commands:
+        args = parser.parse_args(shlex.split(command))
+        assert callable(args.func), command

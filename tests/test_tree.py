@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ def test_single_replica_matches_batched_engine():
 
     state = tree._BatchState(field, np.arange(10))
     for _ in range(6):
-        state.step(0.45, offspring, field)
+        state.step(0.45, offspring, field, tree.DEFAULT_CAP)
     batched = np.sort(state.uniforms[state.replica == 4])
     assert np.array_equal(np.sort(fr.uniforms), batched)
 
@@ -251,6 +253,59 @@ def test_batches_do_not_depend_on_cap(monkeypatch):
         runs.append((est.survivors, list(parents)))
     assert runs[0] == runs[1]
     assert len(runs[0][1]) <= 50
+
+
+def test_single_replica_step_bounded_in_bytes():
+    # both replicas pass the default cap at about a million members; one
+    # step of a whole replica once held its ~3 million children (157 MB)
+    tracemalloc.start()
+    try:
+        est = survival_probability(
+            0.6, OffspringDistribution.deterministic(3), horizon_h=30, replicas=2
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est == tree.SurvivalEstimate(
+        theta=0.6, horizon=30, replicas=2, survivors=2, truncated=2, cap=tree.DEFAULT_CAP, seed=0
+    )
+    assert peak < 80e6
+
+
+def _traces_at_both_budgets(monkeypatch, offspring, generations, replicas):
+    """The martingale trace and the parent count of every engine call, at
+    the current ``MEMBER_BUDGET`` and at 250,000, the budget before it."""
+    calls = []
+    step = tree._step_arrays
+
+    def recording(uniforms, *args):
+        calls[-1].append(len(uniforms))
+        return step(uniforms, *args)
+
+    monkeypatch.setattr(tree, "_step_arrays", recording)
+    traces = []
+    for budget in (tree.MEMBER_BUDGET, 250_000):
+        monkeypatch.setattr(tree, "MEMBER_BUDGET", budget)
+        calls.append([])
+        traces.append(martingale_trace(0.3, offspring, generations, replicas, seed=3))
+    new, old = traces
+    for field in dataclasses.fields(new):
+        assert np.array_equal(getattr(new, field.name), getattr(old, field.name)), field.name
+    return calls
+
+
+def test_martingale_trace_same_at_old_member_budget(monkeypatch):
+    # more, smaller batches than under the old budget
+    calls = _traces_at_both_budgets(monkeypatch, OffspringDistribution.poisson(3.0), 10, 200)
+    assert len(calls[0]) > len(calls[1])
+
+
+def test_martingale_trace_same_with_sliced_replica(monkeypatch):
+    # one replica whose last step spans several slices, one under the old budget
+    budget = tree.MEMBER_BUDGET
+    calls = _traces_at_both_budgets(monkeypatch, OffspringDistribution.deterministic(3), 15, 1)
+    assert calls[0] == calls[1]
+    assert budget < 3 * max(calls[0]) <= 250_000
 
 
 _OFFSPRING = [

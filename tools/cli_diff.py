@@ -1,9 +1,11 @@
 """Check that two source checkouts give byte-identical CLI output.
 
-    python3 tools/cli_diff.py PARENT_DIR CHANGE_DIR --commands FILE --out BENCH_13.json
+    python3 tools/cli_diff.py PARENT_DIR CHANGE_DIR --commands tools/cli_commands.txt \
+        --out BENCH_15.json
 
-FILE holds one ``rmfperc`` command line per line, without the program
-name; blank lines and lines starting with ``#`` are skipped.  Each line
+The commands file holds one ``rmfperc`` command line per line, without the
+program name; blank lines and lines starting with ``#`` are skipped.
+``tools/cli_commands.txt`` is the list kept with the code.  Each line
 runs once per checkout as ``python3 -m rmfperc.cli ARGS`` with that
 checkout's ``src/`` first on ``PYTHONPATH``, from a fresh empty directory
 and with ``RMFPERC_SEED`` unset.  Its digest is a sha256 prefix of stdout,
