@@ -6,7 +6,7 @@ including a brick-based oriented-percolation coupling.
 
 __version__ = "0.1.0"
 
-from .core import LabelField, Metric
+from .core import LabelField, Metric, ResourceGuardError
 from .analytic import (
     BoundsReport,
     eigenfunction_eval,
@@ -29,7 +29,6 @@ from .tree import (
 from .lattice import (
     AccessibleSet,
     LatticeConfig,
-    ResourceGuardError,
     accessible_set,
     crossing_probability,
     export_accessible,

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LabelField, Metric
-from .lattice import _MAX_BOX_BYTES, ResourceGuardError, oriented_reach
+from .core import LabelField, Metric, ResourceGuardError, _guard_bytes
+from .lattice import oriented_reach
 
 __all__ = [
     "BrickConfig",
@@ -39,6 +39,12 @@ __all__ = [
 _A_SCAN_MAX = 10**6
 # bytes of uniforms per slab of the goodness pass: small enough to stay in cache
 _SLAB_BYTES = 440_000
+# tracemalloc peaks of one replica of ``simulate_bricklayer``, for the memory
+# guard (q = 2 and inf, n = 16 to 256, depths 25 to 400): about 76 bytes per
+# cell of its (depth+1) x (2*depth+1) brick grids, and up to about four
+# copies of the uniforms of one slab while the goodness pass hashes it
+_BYTES_PER_GRID_CELL = 80
+_SLAB_COPIES = 5
 
 
 @dataclass(frozen=True)
@@ -176,11 +182,7 @@ def _guard_sites(config: BrickConfig, x_max: float) -> None:
     tops = (max(math.floor(x_max - h), -1) for h in (0.0, 0.5))
     bricks = sum((f + 1) * (f + 2) // 2 for f in tops)
     need = bricks * 3 * (config.n + 1) * 2 * 8
-    if need > _MAX_BOX_BYTES:
-        raise ResourceGuardError(
-            f"{bricks} bricks up to x_max={x_max} need {need} bytes of sites, "
-            f"over the guard of {_MAX_BOX_BYTES} bytes"
-        )
+    _guard_bytes(need, f"a brick range of {bricks} bricks up to x_max={x_max}")
 
 
 def _far_sites(config: BrickConfig, x_max: float):
@@ -305,6 +307,17 @@ def open_implies_increasing_check(
 
 # ---------------------------------------------------------------------------
 # n-bricklayer percolation simulation
+
+
+def _guard_depth(config: BrickConfig, depth: int) -> None:
+    """Raise ``ResourceGuardError`` unless one replica of depth ``depth``
+    fits the memory guard: its brick grids, and one slab of the goodness
+    pass, which holds at least one brick level, three lattice rows of
+    (depth+1)*n uniforms each."""
+    cells = (depth + 1) * (2 * depth + 1)
+    slab = max(_SLAB_BYTES, 3 * (depth + 1) * config.n * 8)
+    need = cells * _BYTES_PER_GRID_CELL + _SLAB_COPIES * slab
+    _guard_bytes(need, f"a bricklayer replica of depth {depth} with n={config.n}")
 
 
 def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
@@ -468,6 +481,7 @@ def simulate_bricklayer(
         raise ValueError("depth and replicas must be >= 1")
     if config.n % 4 != 0:
         raise ValueError(f"bricks need n divisible by 4, got {config.n}")
+    _guard_depth(config, depth)
     base = LabelField(seed)
     percolating = 0
     verified = 0

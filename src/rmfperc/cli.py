@@ -28,10 +28,9 @@ from .bricklayer import (
     open_implies_increasing_check,
     simulate_bricklayer,
 )
-from .core import Metric
+from .core import Metric, ResourceGuardError
 from .lattice import (
     LatticeConfig,
-    ResourceGuardError,
     accessible_set,
     crossing_probability,
     export_accessible,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Metric", "LabelField"]
+__all__ = ["Metric", "LabelField", "ResourceGuardError"]
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -73,6 +73,22 @@ def _u01_np(key: np.ndarray) -> np.ndarray:
 
 
 _EMPTY_SITE = "a site needs at least one coordinate"
+
+# the most bytes one run may ask for, found in closed form before anything
+# is allocated; the engines guard their boxes, grids and frontiers with it
+_GUARD_BYTES = 2**32
+
+
+class ResourceGuardError(RuntimeError):
+    """Raised when a run would pass the memory guard."""
+
+
+def _guard_bytes(need: int, what: str) -> None:
+    """Raise ``ResourceGuardError`` if ``what`` needs more than the guard."""
+    if need > _GUARD_BYTES:
+        raise ResourceGuardError(
+            f"{what} needs about {need} bytes, over the guard of {_GUARD_BYTES} bytes"
+        )
 
 
 @dataclass(frozen=True)

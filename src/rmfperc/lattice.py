@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import LabelField, Metric
+from .core import LabelField, Metric, ResourceGuardError, _guard_bytes
 
 __all__ = [
     "LatticeConfig",
@@ -36,7 +36,7 @@ __all__ = [
     "parse_accessible",
 ]
 
-# guard against runaway memory, in bytes.  The engine holds the whole box.
+# bytes per box site for the memory guard: the engine holds the whole box.
 # tracemalloc peaks per box site at q = 1 and 2, dimensions 2-4 and 10^4 to
 # 10^6 sites: 85-120 bytes while ``_Box.of`` builds the distances (157 at
 # q = 1.5, 303 at q = 40), 61-81 in ``_levels``, 78 for a whole
@@ -44,22 +44,14 @@ __all__ = [
 # ``accessible_set`` adds Python dicts of the reached sites and peaks at
 # about 300 there, over this budget.
 _BYTES_PER_SITE = 128
-_MAX_BOX_BYTES = 2**32
-
-
-class ResourceGuardError(RuntimeError):
-    """Raised when a requested box would exceed the memory guard."""
 
 
 def _guard_box(side: int, dimension: int, box_radius: int) -> None:
     """Raise unless a box of side**dimension sites fits the memory guard."""
-    need = side**dimension * _BYTES_PER_SITE
-    if need > _MAX_BOX_BYTES:
-        raise ResourceGuardError(
-            f"box with radius {box_radius} in dimension "
-            f"{dimension} needs about {need} bytes, over the guard "
-            f"of {_MAX_BOX_BYTES} bytes"
-        )
+    _guard_bytes(
+        side**dimension * _BYTES_PER_SITE,
+        f"box with radius {box_radius} in dimension {dimension}",
+    )
 
 
 @dataclass(frozen=True)

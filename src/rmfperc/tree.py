@@ -15,6 +15,7 @@ one-replica-at-a-time runs therefore produce bit-identical uniforms.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import eigenfunction_eval, lead_eigenvalue
-from .core import LabelField
+from .core import LabelField, _guard_bytes
 
 __all__ = [
     "OffspringDistribution",
@@ -43,8 +44,23 @@ DEFAULT_CAP = 10**6
 # in fresh ones for each array (README, "Numerical notes", for the sweep)
 MEMBER_BUDGET = 16_384
 
+# tracemalloc peaks of the engine, for the memory guard: about 64 bytes per
+# frontier member of one replica stepped near the cap (4.2, 34 and 307 MB
+# for the 3^10, 3^12 and 3^14 members of an uncapped ternary tree at
+# theta = 1), 90-98 per replica for the arrays ``_histories`` and the sweep
+# build before they step, and 32 per replica and generation for the
+# martingale's (replicas, generations + 1) sums and sizes and the weighted
+# copies of the sums it reduces
+_BYTES_PER_MEMBER = 64
+_BYTES_PER_REPLICA = 100
+_BYTES_PER_TRACE_CELL = 32
+
 # surviving replicas the threshold crossing needs at the full horizon
 MIN_EVENTS = 10
+
+# cells of the guide table that maps a count uniform to its count (indexed
+# search, Chen and Asau 1974); a power of two, so u * _GUIDE_CELLS is exact
+_GUIDE_CELLS = 1024
 
 # hash-stream tags; keep tree keys disjoint from raw site keys
 _TREE_TAG = 0x7265_65
@@ -103,7 +119,10 @@ class OffspringDistribution:
             return self.params[0] * self.params[1]
         return self.params[0]
 
-    def _cdf_table(self) -> np.ndarray:
+    @functools.cached_property
+    def _cdf(self) -> np.ndarray:
+        """The Poisson or binomial CDF table, built on first use.  It is
+        not a dataclass field, so equality, hashing and repr do not see it."""
         if self.kind == "poisson":
             m = self.params[0]
             kmax = int(m + 12.0 * math.sqrt(m) + 30)  # tail mass < 1e-18
@@ -118,15 +137,34 @@ class OffspringDistribution:
             return np.cumsum(pmf)
         raise AssertionError(self.kind)
 
-    def sample(self, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF transform of uniforms in (0,1) to offspring counts."""
+    @functools.cached_property
+    def _guide(self):
+        """Per cell [g/G, (g+1)/G) of (0, 1), with G = ``_GUIDE_CELLS``: the
+        number of CDF entries below g/G, and whether an entry lies in the
+        cell.  Every entry below g/G is below a uniform u of the cell and
+        none from (g+1)/G on is, so where no entry lies in the cell, the
+        first number is the count of entries below u."""
+        edges = np.searchsorted(self._cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS, side="left")
+        return edges[:-1].astype(np.int64), edges[1:] > edges[:-1]
+
+    def sample(self, keys: np.ndarray, field: LabelField) -> np.ndarray:
+        """Offspring counts of the parents with hash keys ``keys``: the
+        inverse CDF of a uniform hashed from each key.  A deterministic law
+        needs no uniform and hashes nothing.  Poisson and binomial counts
+        are ``np.searchsorted(cdf, u, side="left")``, read off the guide
+        table except in the cells that hold a CDF entry."""
         if self.kind == "deterministic":
-            return np.full(u.shape, self.params[0], dtype=np.int64)
+            return np.full(keys.shape, self.params[0], dtype=np.int64)
+        u = field.uniform_from_key_array(field.derive_key_array(keys, np.uint64(_COUNT_TAG)))
         if self.kind == "geometric":
             p = self.params[0] / (1.0 + self.params[0])
             return np.floor(np.log1p(-u) / math.log(p)).astype(np.int64)
-        cdf = self._cdf_table()
-        return np.searchsorted(cdf, u, side="left").astype(np.int64)
+        below, split = self._guide
+        cell = (u * _GUIDE_CELLS).astype(np.intp)
+        counts = below[cell]
+        hard = np.flatnonzero(split[cell])
+        counts[hard] = np.searchsorted(self._cdf, u[hard], side="left")
+        return counts
 
 
 def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
@@ -140,8 +178,7 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
     kept count passes ``cap``: its count is then some value above ``cap``
     and none of its children is returned, since the caller drops it.
     """
-    count_u = field.uniform_from_key_array(field.derive_key_array(keys, np.uint64(_COUNT_TAG)))
-    counts = offspring.sample(count_u)
+    counts = offspring.sample(keys, field)
     ends = np.cumsum(counts)
     kept = np.zeros(slots, dtype=np.int64)
     pieces = []
@@ -161,7 +198,9 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
         child_ids -= np.repeat((np.cumsum(c) - c).astype(np.uint64), c)
         child_keys = field.derive_key_array(keys[parent_idx], child_ids)
         child_u = field.uniform_from_key_array(child_keys)
-        keep = child_u > np.repeat(uniforms[parents] - theta, c)
+        # kept children by index: whether a child is kept is a coin flip, and
+        # a boolean mask of random pattern copies slower than a gather
+        keep = np.flatnonzero(child_u > np.repeat(uniforms[parents] - theta, c))
         child_rep = replica[parent_idx[keep]]
         kept += np.bincount(child_rep, minlength=slots)
         pieces.append((child_u[keep], child_keys[keep], child_rep))
@@ -171,6 +210,8 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
             pieces = [tuple(a[m] for a in piece) for piece, m in zip(pieces, live)]
     if not pieces:
         return np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), kept
+    if len(pieces) == 1:
+        return (*pieces[0], kept)
     return (*(np.concatenate(arrays) for arrays in zip(*pieces)), kept)
 
 
@@ -294,6 +335,15 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
     return extinct_at, capped_at, sums, sizes
 
 
+def _guard_run(replicas, cap, trace_cells=0):
+    """Raise ``ResourceGuardError`` unless a replica's frontier near ``cap``
+    and the per-replica arrays, with ``trace_cells`` trace entries per
+    replica, fit the memory guard.  Nothing is allocated before it."""
+    _guard_bytes(cap * _BYTES_PER_MEMBER, f"a frontier of up to cap={cap} members")
+    per_replica = _BYTES_PER_REPLICA + _BYTES_PER_TRACE_CELL * max(trace_cells, 0)
+    _guard_bytes(replicas * per_replica, f"a run of {replicas} replicas")
+
+
 def _check_run(replicas, horizon_h, cap):
     if replicas < 1 or horizon_h < 1:
         raise ValueError(
@@ -301,6 +351,7 @@ def _check_run(replicas, horizon_h, cap):
         )
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
+    _guard_run(replicas, cap)
 
 
 def survival_probability(
@@ -440,6 +491,7 @@ def martingale_trace(
     Raises if any replica hits the frontier cap, since truncation would
     bias the trace.
     """
+    _guard_run(replicas, cap, trace_cells=generations + 1)
     m = offspring.mean
     lam = lead_eigenvalue(m, theta)
     _, capped_at, sums, sizes = _histories(

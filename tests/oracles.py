@@ -3,6 +3,9 @@
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
 ``rmfperc.tree``, so the tests can compare the two replica by replica.
+``count_oracle`` draws offspring counts the way the engine did before
+``OffspringDistribution.sample`` took keys: a count hash for every law,
+then the inverse CDF with the table built afresh on each call.
 ``theta_sweep_oracle`` is the per-drift loop that re-simulates every
 replica at every grid point.  ``survival_oracle`` integrates the survival
 recursion on a grid, and ``minimal_root_oracle`` finds the minimal root of
@@ -36,6 +39,7 @@ from rmfperc.tree import (
     DEFAULT_CAP,
     MIN_EVENTS,
     _CHILD_BASE,
+    _COUNT_TAG,
     _TREE_TAG,
     OffspringDistribution,
     SurvivalCurve,
@@ -94,6 +98,26 @@ def step_frontier(
         child_keys = child_keys[:cap]
         truncated = True
     return Frontier(frontier.generation + 1, child_u, child_keys, truncated)
+
+
+def count_oracle(offspring: OffspringDistribution, keys, field: LabelField) -> np.ndarray:
+    """Offspring counts of the parents with hash keys ``keys``."""
+    u = field.uniform_from_key_array(field.derive_key_array(keys, np.uint64(_COUNT_TAG)))
+    if offspring.kind == "deterministic":
+        return np.full(u.shape, offspring.params[0], dtype=np.int64)
+    if offspring.kind == "geometric":
+        p = offspring.params[0] / (1.0 + offspring.params[0])
+        return np.floor(np.log1p(-u) / math.log(p)).astype(np.int64)
+    if offspring.kind == "poisson":
+        m = offspring.params[0]
+        ks = np.arange(int(m + 12.0 * math.sqrt(m) + 30) + 1)
+        log_fact = np.array([math.lgamma(k + 1) for k in ks])
+        cdf = np.cumsum(np.exp(ks * math.log(m) - m - log_fact))
+    else:
+        n, p = offspring.params
+        ks = range(n + 1)
+        cdf = np.cumsum([math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in ks])
+    return np.searchsorted(cdf, u, side="left").astype(np.int64)
 
 
 def theta_sweep_oracle(offspring, theta_grid, horizon_h, replicas, cap, seed) -> SurvivalCurve:

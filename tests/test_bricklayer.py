@@ -13,7 +13,7 @@ from rmfperc import (
     open_implies_increasing_check,
     simulate_bricklayer,
 )
-from rmfperc import bricklayer
+from rmfperc import bricklayer, core
 from rmfperc.bricklayer import _brick_sites, _bricks_up_to
 from conftest import FixedField, grid_from_array
 from oracles import BrickId, brick_build, brick_good, brick_ids_up_to, edge_open
@@ -369,9 +369,9 @@ def test_site_guard_counts_the_bricks_exactly(monkeypatch, x_max):
     # the guard sits at the bytes of the brick sites up to x_max, x < 2 included
     cfg = BrickConfig(64, 2.0)
     need = int(_bricks_up_to(x_max).sum()) * 3 * (cfg.n + 1) * 2 * 8
-    monkeypatch.setattr(bricklayer, "_MAX_BOX_BYTES", need)
+    monkeypatch.setattr(core, "_GUARD_BYTES", need)
     distance_gap_check(cfg, x_max)
-    monkeypatch.setattr(bricklayer, "_MAX_BOX_BYTES", need - 1)
+    monkeypatch.setattr(core, "_GUARD_BYTES", need - 1)
     with pytest.raises(bricklayer.ResourceGuardError):
         distance_gap_check(cfg, x_max)
     with pytest.raises(bricklayer.ResourceGuardError):

@@ -316,10 +316,13 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
          "--theta", "0.9"],
         ["lattice-export", "--grid", "0.3:0.5:0.1", "--theta", "0.9", "--radius", "5"],
         ["lattice-export", "--theta", "0.5", "--grid", "0.3:0.5:0.1", "--radius", "5"],
+        # past the byte guard: a resource error, not a parameter error
+        ["bricklayer", "--depth", "100000"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):
-    assert run_cli(args, tmp_path) == (2, b"")
+    expected = 3 if args == ["bricklayer", "--depth", "100000"] else 2
+    assert run_cli(args, tmp_path) == (expected, b"")
 
 
 def test_grid_at_the_point_limit_is_accepted():
@@ -358,6 +361,29 @@ def test_oversized_brick_range_exit_code(tmp_path):
     tracemalloc.start()
     try:
         code = run_cli(["bricklayer-check", "--x-max", "100000"], tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == (3, b"")
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["tree-sim", "--m", "2", "--theta", "0.3", "--cap", "100000000"],
+        ["tree-sim", "--m", "2", "--theta", "0.3", "--replicas", "10000000000"],
+        ["tree-sim", "--m", "2", "--grid", "0.1:0.3:0.1", "--replicas", "10000000000"],
+        ["tree-martingale", "--m", "3", "--theta", "0.3", "--cap", "100000000"],
+        ["tree-martingale", "--m", "3", "--theta", "0.3", "--replicas", "100000000"],
+        ["bricklayer", "--q", "inf", "--depth", "100000"],
+    ],
+)
+def test_guards_refuse_before_allocating(tmp_path, args):
+    # the need is found in closed form: nothing is built before the guard
+    tracemalloc.start()
+    try:
+        code = run_cli(args, tmp_path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import tracemalloc
@@ -7,11 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest
 
-from oracles import Frontier, root_frontier, step_frontier, survival_oracle, theta_sweep_oracle
+from oracles import (
+    Frontier,
+    count_oracle,
+    root_frontier,
+    step_frontier,
+    survival_oracle,
+    theta_sweep_oracle,
+)
 from rmfperc import tree
 from rmfperc import (
     LabelField,
     OffspringDistribution,
+    ResourceGuardError,
     eigenfunction_eval,
     eigenfunction_integral,
     estimate_theta_c_tree,
@@ -50,10 +59,98 @@ def test_offspring_means():
     ],
 )
 def test_offspring_sample_moments(dist):
-    u = LabelField(77).uniform_array(np.arange(200_000).reshape(-1, 1))
-    counts = dist.sample(u)
+    keys = LabelField(77).key_array(np.arange(200_000).reshape(-1, 1))
+    counts = dist.sample(keys, LabelField(5))
     se = counts.std() / math.sqrt(len(counts))
     assert abs(counts.mean() - dist.mean) < 4 * se
+
+
+_LAWS = st.one_of(
+    st.integers(0, 6).map(OffspringDistribution.deterministic),
+    st.floats(0.05, 40.0).map(OffspringDistribution.poisson),
+    st.tuples(st.integers(0, 30), st.floats(0.0, 1.0)).map(
+        lambda np_: OffspringDistribution.binomial(*np_)
+    ),
+    st.floats(0.05, 40.0).map(OffspringDistribution.geometric),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    offspring=_LAWS,
+    keys=st.lists(st.integers(0, 2**64 - 1), max_size=300),
+    seed=st.integers(0, 2**32),
+)
+def test_offspring_sample_equals_count_oracle(offspring, keys, seed):
+    keys = np.array(keys, dtype=np.uint64)
+    field = LabelField(seed)
+    for _ in range(2):  # the second call reads the cached table
+        counts = offspring.sample(keys, field)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, count_oracle(offspring, keys, field))
+
+
+class _NoHashField:
+    def derive_key_array(self, keys, values):
+        raise AssertionError("hashed a key")
+
+    uniform_from_key_array = derive_key_array
+
+
+def test_deterministic_sample_hashes_nothing():
+    keys = np.arange(5, dtype=np.uint64)
+    counts = OffspringDistribution.deterministic(3).sample(keys, _NoHashField())
+    assert counts.tolist() == [3] * 5 and counts.dtype == np.int64
+    with pytest.raises(AssertionError, match="hashed"):
+        OffspringDistribution.poisson(3.0).sample(keys, _NoHashField())
+
+
+class _GivenUniforms:
+    """A field whose count uniforms are given: key i hashes to ``u[i]``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def derive_key_array(self, keys, values):
+        return keys
+
+    def uniform_from_key_array(self, keys):
+        return self.u[keys.astype(np.intp)]
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        OffspringDistribution.poisson(3.0),
+        OffspringDistribution.poisson(40.0),
+        OffspringDistribution.binomial(30, 0.1),
+        OffspringDistribution.binomial(1, 0.5),
+    ],
+)
+def test_guided_counts_exact_at_cdf_entries_and_cell_edges(dist):
+    # the guide table reads a count off a cell only where no CDF entry lies
+    # in it; uniforms on and next to every entry and cell edge test that
+    cdf = dist._cdf
+    edges = np.arange(1, tree._GUIDE_CELLS) / tree._GUIDE_CELLS
+    points = np.concatenate([cdf, edges])
+    u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    u = u[(u > 0.0) & (u < 1.0)]
+    counts = dist.sample(np.arange(len(u), dtype=np.uint64), _GivenUniforms(u))
+    assert np.array_equal(counts, np.searchsorted(cdf, u, side="left"))
+
+
+@pytest.mark.parametrize(
+    "dist", [OffspringDistribution.poisson(2.5), OffspringDistribution.binomial(10, 0.3)]
+)
+def test_cached_cdf_is_not_part_of_the_value(dist):
+    fresh = dataclasses.replace(dist)
+    before = (hash(dist), repr(dist))
+    table, guide = dist._cdf, dist._guide
+    assert dist._cdf is table and dist._guide is guide  # built once
+    assert dist == fresh and fresh == dist
+    assert (hash(dist), repr(dist)) == before == (hash(fresh), repr(fresh))
+    twin = copy.copy(dist)
+    assert twin == dist == fresh and hash(twin) == hash(fresh)
 
 
 def test_offspring_validation():
@@ -292,6 +389,15 @@ def _traces_at_both_budgets(monkeypatch, offspring, generations, replicas):
     for field in dataclasses.fields(new):
         assert np.array_equal(getattr(new, field.name), getattr(old, field.name)), field.name
     return calls
+
+
+def test_default_sizes_fit_the_guard():
+    tree._guard_run(10_000, tree.DEFAULT_CAP, trace_cells=11)  # tree-martingale defaults
+    tree._guard_run(100_000, 200_000, trace_cells=11)  # acceptance 7
+    tree._guard_run(2000, 20_000)  # acceptance 8
+    tree._guard_run(1, 2**32 // tree._BYTES_PER_MEMBER)
+    with pytest.raises(ResourceGuardError, match="cap"):
+        tree._guard_run(1, 2**32 // tree._BYTES_PER_MEMBER + 1)
 
 
 def test_martingale_trace_same_at_old_member_budget(monkeypatch):
