@@ -5,9 +5,13 @@ with strictly increasing labels X = U + theta * ||.||_q.  In
 non-backtracking ("nb") mode each step must also move strictly further
 from the origin, decided on exact power keys ||v||_q^q.  One array engine,
 ``_levels``, decides accessibility on the whole box for a sorted grid of
-drifts; with one drift it is the plain closure.  Non-backtracking sets are
-nested in theta, so one call serves a whole grid; sets of mode "all" are
-not, so each drift takes its own call.
+drifts and a batch of replicas stacked along a leading axis; with one
+drift and one replica it is the plain closure.  Non-backtracking sets are
+nested in theta, so one call serves a whole grid, and every allowed step
+raises ||v||_1 by one, so one pass over the l1 shells settles the box,
+stopping at the first shell no replica reaches.  Sets of mode "all" are
+neither nested nor graded: each drift takes its own call, relaxed to a
+fixpoint.
 """
 
 from __future__ import annotations
@@ -36,14 +40,28 @@ __all__ = [
     "parse_accessible",
 ]
 
-# bytes per box site for the memory guard: the engine holds the whole box.
-# tracemalloc peaks per box site at q = 1 and 2, dimensions 2-4 and 10^4 to
-# 10^6 sites: 85-120 bytes while ``_Box.of`` builds the distances (157 at
-# q = 1.5, 303 at q = 40), 61-81 in ``_levels``, 78 for a whole
-# ``crossing_probability`` on a fully reached 2-D box (r = 150, theta = 1).
-# ``accessible_set`` adds Python dicts of the reached sites and peaks at
-# about 300 there, over this budget.
+# bytes per box site for the memory guard: the engine holds the whole box
+# and one replica's arrays.  tracemalloc peaks per box site at q = 1 and 2,
+# dimensions 2-4 and 10^4 to 10^6 sites: 85-120 bytes while ``_Box.of``
+# builds the distances (157 at q = 1.5, 303 at q = 40); an "nb" box then
+# keeps about 50 in 2-D (67 in 3-D) with its int32 shell tables, and
+# ``crossing_probability`` with one replica peaks at 89-98 in 2-D (107 in
+# 3-D, r = 12), mode "all" at 65-94.  ``accessible_set`` adds Python dicts
+# of the reached sites and peaks at about 300 on a fully reached 2-D box,
+# over this budget.
 _BYTES_PER_SITE = 128
+
+# replica batches of ``_crossings``: at most BATCH_BYTES of per-replica
+# arrays (uniforms, drifted labels, edge and site levels) per batch, and at
+# least one replica.  A replica-site peaks at 19-26 bytes over the first
+# replica (tracemalloc, 2-D and 3-D, 1-300 drifts, uint16 levels included);
+# the budget counts 32.  Timed on 2 cores over budgets of 1-128 MiB
+# (lattice-sweep job, r = 100 at theta = 0.25 and 0.45 with 100 replicas, a
+# 3-D sweep, a mode-"all" sweep), 32 MiB was fastest or within noise of it
+# everywhere; 1 MiB, one replica per batch at r = 100, took 2-3 times as
+# long.
+BATCH_BYTES = 2**25
+_BYTES_PER_REPLICA_SITE = 32
 
 
 def _guard_box(side: int, dimension: int, box_radius: int) -> None:
@@ -175,95 +193,177 @@ def _distinct_sorted(grid: list) -> list:
 
 
 def _edge_views(arr: np.ndarray, step: tuple):
-    """Views (at u, at v) of box array ``arr`` over every edge u -> v = u + step."""
-    axis = next(i for i, c in enumerate(step) if c)
+    """Views (at u, at v) of ``arr`` over every edge u -> v = u + step of the
+    box spanned by its last len(step) axes; leading axes (replicas,
+    directions) are kept."""
+    i = next(i for i, c in enumerate(step) if c)
+    axis = arr.ndim - len(step) + i
     lo = [slice(None)] * arr.ndim
     hi = [slice(None)] * arr.ndim
     lo[axis], hi[axis] = slice(None, -1), slice(1, None)
     lo, hi = tuple(lo), tuple(hi)
-    return (arr[lo], arr[hi]) if step[axis] > 0 else (arr[hi], arr[lo])
+    return (arr[lo], arr[hi]) if step[i] > 0 else (arr[hi], arr[lo])
 
 
 @dataclass(frozen=True)
 class _Box:
     """Geometry shared across label fields: the box's sites in C order,
-    their distances, per step direction the edges a path may take (in
-    "nb" mode those that move strictly further from the origin under exact
-    power keys, in mode "all" every edge), and the crossing sites
-    (||v||_q >= box_radius).  ``offset`` is the box radius, the origin's
-    index along every axis."""
+    their distances, the crossing sites (||v||_q >= box_radius) and, in
+    "nb" mode, per step direction the edges a path may take: those that
+    move strictly further from the origin under exact power keys.
+    ``further`` is None in mode "all", where a path may take every edge of
+    the box.  ``offset`` is the box radius, the origin's index along every
+    axis.
+
+    An "nb" box is graded by l1 shells: a unit step changes ||v||_1 by
+    one, and one that moves further raises it by one.  ``order`` lists the
+    sites' flat indices shell by shell, shell t at ``order[shells[t] :
+    shells[t + 1]]``, and ``into[d, j]`` is the flat index of the tail of
+    the allowed edge in direction d into site ``order[j]``, or of the site
+    itself where none enters.  Construction raises RuntimeError if an
+    allowed edge does not go from a shell t to shell t + 1.
+    """
 
     coords: np.ndarray
     offset: int
     norms: np.ndarray
-    further: tuple
+    further: Optional[tuple]
     crossing: np.ndarray
+    order: Optional[np.ndarray] = dc_field(init=False, default=None)
+    shells: Optional[list] = dc_field(init=False, default=None)
+    into: Optional[np.ndarray] = dc_field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.further is None:
+            return
+        shape = self.norms.shape
+        # int32 indices: the memory guard keeps a box far below 2^31 sites
+        flat = np.arange(self.norms.size, dtype=np.int32).reshape(shape)
+        shell = np.abs(self.coords).sum(axis=1, dtype=np.int32).reshape(shape)
+        order = np.argsort(shell.ravel(), kind="stable").astype(np.int32)
+        into = np.empty((len(self.further), self.norms.size), dtype=np.int32)
+        for row, step, allowed in zip(into, _steps(len(shape)), self.further):
+            su, sv = _edge_views(shell, step)
+            if (allowed & (sv != su + 1)).any():
+                raise RuntimeError(
+                    f"an allowed edge along {step} does not go from a shell t of "
+                    "||v||_1 to shell t + 1"
+                )
+            tail = flat.copy()
+            _edge_views(tail, step)[1][allowed] = _edge_views(flat, step)[0][allowed]
+            np.take(tail.ravel(), order, out=row)
+        shells = np.searchsorted(shell.ravel()[order], np.arange(shell.max() + 2))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "shells", shells.tolist())
+        object.__setattr__(self, "into", into)
 
     @classmethod
     def of(cls, config: LatticeConfig) -> "_Box":
         r, dim = config.box_radius, config.dimension
         shape = (2 * r + 1,) * dim
         coords = np.indices(shape).reshape(dim, -1).T - r
+        further = None
         if config.mode == "nb":
             keys = config.metric.power_key_array(coords).reshape(shape)
-            further = [kv > ku for ku, kv in (_edge_views(keys, s) for s in _steps(dim))]
-        else:
-            anywhere = np.ones(shape, dtype=bool)
-            further = [_edge_views(anywhere, s)[0] for s in _steps(dim)]
+            further = tuple(kv > ku for ku, kv in (_edge_views(keys, s) for s in _steps(dim)))
+            del keys
         norms = config.metric.norm_array(coords).reshape(shape)
-        return cls(coords, r, norms, tuple(further), norms >= r)
+        return cls(coords, r, norms, further, norms >= r)
 
-    def uniforms(self, field: LabelField) -> np.ndarray:
+    def uniforms(self, fields) -> np.ndarray:
+        """The uniforms of each label field on the box, stacked along a
+        leading replica axis."""
         axis = np.arange(-self.offset, self.offset + 1)
-        return np.ascontiguousarray(field.uniform_grid([axis] * self.norms.ndim))
+        u = np.empty((len(fields),) + self.norms.shape)
+        for row, field in zip(u, fields):
+            row[...] = field.uniform_grid([axis] * self.norms.ndim)
+        return u
 
 
-def _levels(box: _Box, u: np.ndarray, thetas: list):
-    """For every site of the box, the smallest index k into the sorted
-    distinct drifts ``thetas`` at which the site is accessible, or K =
-    len(thetas) if it never is; also, per step direction, each edge's
-    level.  ``u`` holds the box's uniforms.
+def _edge_levels(box: _Box, u: np.ndarray, thetas: list) -> np.ndarray:
+    """Per replica of the stack ``u`` of uniforms, per step direction d and
+    per site v, the level of the edge into v along d: the number of sorted
+    distinct grid drifts ``thetas`` at which it is closed, K = len(thetas)
+    where no edge enters v.
 
     Edge u -> v is open at theta_k iff ``box.further`` allows it and
-    fl(U_v + theta_k*n_v) > fl(U_u + theta_k*n_u).  Its level is the
-    number of grid drifts at which it is closed; a site's level is the min
-    over paths from the origin of the max edge level, relaxed to a
-    fixpoint.  Raises if an edge's openness is not monotone in theta over
-    the grid, as it can be in mode "all", whose sets are not nested in
-    theta and so take one drift per call.
+    fl(U_v + theta_k*n_v) > fl(U_u + theta_k*n_u).  Raises if an edge's
+    openness is not monotone in theta over the grid, as it can be in mode
+    "all", whose sets are not nested in theta and so take one drift per
+    call.
     """
-    shape = u.shape
-    steps = _steps(len(shape))
-    dtype = np.min_scalar_type(len(thetas))
-    edges = [np.zeros(f.shape, dtype=dtype) for f in box.further]
+    steps = _steps(u.ndim - 1)
+    edges = np.full((len(u), len(steps)) + u.shape[1:], len(thetas),
+                    dtype=np.min_scalar_type(len(thetas)))
+    levels = [_edge_views(edges[:, d], step)[1] for d, step in enumerate(steps)]
+    for level in levels:
+        level[...] = 0
+    blocked = [None] * len(steps) if box.further is None else [~f for f in box.further]
+    x = np.empty_like(u)
     for k, th in enumerate(thetas):
-        x = u + th * box.norms
-        for step, further, level in zip(steps, box.further, edges):
+        np.add(u, th * box.norms, out=x)
+        for step, shut, level in zip(steps, blocked, levels):
             xu, xv = _edge_views(x, step)
-            closed = ~((xv > xu) & further)
-            if (closed & (level != k)).any():
+            closed = xv <= xu
+            if shut is not None:
+                closed |= shut
+            if k and (closed & (level != k)).any():
                 raise RuntimeError(
                     f"an edge open at a smaller grid drift is closed at theta={th}: "
                     "openness is not monotone over the grid"
                 )
             level += closed
-    lvl = np.full(shape, len(thetas), dtype=dtype)
-    lvl[(box.offset,) * len(shape)] = 0
-    while True:
-        before = lvl.copy()
-        for step, level in zip(steps, edges):
-            lu, lv = _edge_views(lvl, step)
-            np.minimum(lv, np.maximum(lu, level), out=lv)
-        if np.array_equal(before, lvl):
-            return lvl, edges
+    return edges
+
+
+def _levels(box: _Box, u: np.ndarray, thetas: list):
+    """For each replica of the stack ``u`` of uniforms (replica first, then
+    the box) and each site, the smallest index k into the sorted distinct
+    drifts ``thetas`` at which the site is accessible, or K = len(thetas)
+    if it never is; also the edge levels of ``_edge_levels``.  A site's
+    level is the min over paths from the origin of the max edge level.
+
+    In "nb" mode the levels are settled in one pass over the l1 shells
+    t = 1, 2, ...: every allowed edge into shell t starts in shell t - 1,
+    so shell t takes, per site, the min over its in-edges of max(tail
+    level, edge level).  The pass stops after the first shell that no
+    replica reaches; no edge leads past it.  Mode "all" is not graded by
+    shells and relaxes the whole stack to a fixpoint.
+    """
+    edges = _edge_levels(box, u, thetas)
+    origin = (slice(None),) + (box.offset,) * box.norms.ndim
+    lvl = np.full(u.shape, len(thetas), dtype=edges.dtype)
+    lvl[origin] = 0
+    if box.further is None:
+        steps = _steps(box.norms.ndim)
+        levels = [_edge_views(edges[:, d], step)[1] for d, step in enumerate(steps)]
+        while True:
+            before = lvl.copy()
+            for step, level in zip(steps, levels):
+                lu, lv = _edge_views(lvl, step)
+                np.minimum(lv, np.maximum(lu, level), out=lv)
+            if np.array_equal(before, lvl):
+                return lvl, edges
+    flat = lvl.reshape(len(u), -1)
+    flat_edges = edges.reshape(len(u), len(box.into), -1)
+    for a, b in zip(box.shells[1:-1], box.shells[2:]):
+        sites = box.order[a:b]
+        via = flat[:, box.into[:, a:b]]
+        np.maximum(via, flat_edges[:, :, sites], out=via)
+        reach = via.min(axis=1)
+        flat[:, sites] = reach
+        if reach.min() == len(thetas):
+            break
+    return lvl, edges
 
 
 def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
     """The accessible set at drift ``thetas[-1]`` = ``config.theta`` and,
     in the set's order, each site's smallest index into the sorted
-    distinct drifts ``thetas`` at which it was accessible.  The drifts
-    take the batches of ``_crossings``: one ``_levels`` call in "nb" mode,
-    one per drift in mode "all"; the set is built once, from the last.
+    distinct drifts ``thetas`` at which it was accessible.  This is a
+    batch of one replica for the engine of ``_crossings``: one ``_levels``
+    call in "nb" mode, one per drift in mode "all"; the set is built once,
+    from the last.
 
     A site's predecessor is a reached in-neighbour over an edge open at
     the last drift, picked by one pass per step direction (a later
@@ -271,11 +371,12 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
     predecessors, so every chain ends at the origin.
     """
     box = _Box.of(config)
-    u = box.uniforms(field)
+    u = box.uniforms([field])
     first = np.full(box.norms.shape, len(thetas), dtype=np.min_scalar_type(len(thetas)))
     done = 0
     for batch in [thetas] if config.mode == "nb" else [[th] for th in thetas]:
         lvl, edges = _levels(box, u, batch)
+        lvl, edges = lvl[0], edges[0]
         np.minimum(first, done + lvl.astype(first.dtype), out=first, where=lvl < len(batch))
         done += len(batch)
     top = len(batch) - 1
@@ -283,7 +384,8 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
     steps = _steps(config.dimension)
     came_by = np.full(lvl.shape, len(steps), dtype=np.uint8)  # index into moves
     for d, (step, level) in enumerate(zip(steps, edges)):
-        _edge_views(came_by, step)[1][_edge_views(reached, step)[0] & (level <= top)] = d
+        open_ = _edge_views(reached, step)[0] & (_edge_views(level, step)[1] <= top)
+        _edge_views(came_by, step)[1][open_] = d
     moves = np.array(steps + [(0,) * config.dimension])
     at = np.flatnonzero(reached)  # C order: sorted coordinates
     coords = box.coords[at]
@@ -306,22 +408,27 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
 def _crossings(config: LatticeConfig, thetas: list, replicas: int) -> dict:
     """Per sorted distinct drift, the number of replicas whose accessible
     set touches ||v||_q >= box_radius.  Replica i uses the field derived
-    from (config.seed, i).  "nb" sets are nested in theta, so one
-    ``_levels`` call per replica decides every drift: the replica crosses
-    at theta_k iff some crossing site has level <= k.  Mode "all" takes
-    one call per drift."""
+    from (config.seed, i).  The replicas run in batches of at most
+    ``BATCH_BYTES`` of per-replica arrays (at least one replica), stacked
+    along a leading axis.  "nb" sets are nested in theta, so one
+    ``_levels`` call per batch decides every drift: a replica crosses at
+    theta_k iff some crossing site has level <= k.  Mode "all" takes one
+    call per batch and drift."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     box = _Box.of(config)
     base = LabelField(config.seed)
     batches = [thetas] if config.mode == "nb" else [[th] for th in thetas]
+    size = max(1, BATCH_BYTES // (box.norms.size * _BYTES_PER_REPLICA_SITE))
     crossings = dict.fromkeys(thetas, 0)
-    for i in range(replicas):
-        u = box.uniforms(LabelField(base.key_of((0x6C61, i))))
+    for start in range(0, replicas, size):
+        stop = min(start + size, replicas)
+        u = box.uniforms([LabelField(base.key_of((0x6C61, i))) for i in range(start, stop)])
         for batch in batches:
             lvl, _ = _levels(box, u, batch)
-            for th in batch[lvl[box.crossing].min(initial=len(batch)):]:
-                crossings[th] += 1
+            first = lvl[:, box.crossing].min(axis=1, initial=len(batch))
+            for k, th in enumerate(batch):
+                crossings[th] += int(np.count_nonzero(first <= k))
     return crossings
 
 

@@ -49,8 +49,9 @@ MEMBER_BUDGET = 16_384
 # for the 3^10, 3^12 and 3^14 members of an uncapped ternary tree at
 # theta = 1), 90-98 per replica for the arrays ``_histories`` and the sweep
 # build before they step, and 32 per replica and generation for the
-# martingale's (replicas, generations + 1) sums and sizes and the weighted
-# copies of the sums it reduces
+# martingale's (replicas, generations + 1) sums and sizes; it reduces the
+# weights one generation at a time and peaks at about 16 (267 and 927
+# bytes per replica at 10 and 50 generations)
 _BYTES_PER_MEMBER = 64
 _BYTES_PER_REPLICA = 100
 _BYTES_PER_TRACE_CELL = 32
@@ -500,10 +501,12 @@ def martingale_trace(
     )
     if (capped_at <= generations).any():
         raise RuntimeError("frontier cap exceeded; martingale trace would be biased")
-    w = sums * np.array([lam ** (-gen) for gen in range(generations + 1)])
-    # correctly rounded, so independent of replica order and batching
-    w_sum = np.array([math.fsum(col) for col in w.T])
-    w_sqsum = np.array([math.fsum(col) for col in (w * w).T])
+    # correctly rounded, so independent of replica order and batching; one
+    # generation's column of weights at a time
+    w_sum, w_sqsum = np.empty(generations + 1), np.empty(generations + 1)
+    for gen in range(generations + 1):
+        w = sums[:, gen] * lam ** (-gen)
+        w_sum[gen], w_sqsum[gen] = math.fsum(w), math.fsum(w * w)
     means = w_sum / replicas
     var = np.maximum(w_sqsum - replicas * means**2, 0.0) / max(replicas - 1, 1)
     stderrs = np.sqrt(var / replicas)

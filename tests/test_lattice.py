@@ -21,6 +21,7 @@ from rmfperc import (
     sweep_accessible_min_theta,
     sweep_theta,
 )
+from rmfperc import lattice
 from rmfperc.lattice import CrossingEstimate, _Box, _levels, oriented_reach
 from conftest import FixedField, grid_from_array
 from oracles import first_moment_bound
@@ -334,12 +335,20 @@ def test_nb_levels_equal_closure_per_theta(q, shape, grid, seed):
                         seed=seed)
     thetas = sorted(set(grid))
     box = _Box.of(cfg)
-    field = LabelField(seed)
-    lvl, _ = _levels(box, box.uniforms(field), thetas)
-    for k, th in enumerate(thetas):
-        aset = closure_oracle(replace(cfg, theta=th), field=field)
-        sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
-        assert sites == set(aset.labels)
+    fields = [LabelField(seed + i) for i in range(3)]
+    lvls, _ = _levels(box, box.uniforms(fields), thetas)
+    assert_levels_equal_closures(cfg, box, fields, lvls, thetas)
+
+
+def assert_levels_equal_closures(cfg, box, fields, lvls, thetas):
+    """Replica i of the stacked levels ``lvls`` holds, per drift, the sites
+    of the reference closure on ``fields[i]``."""
+    assert len(lvls) == len(fields)
+    for field, lvl in zip(fields, lvls):
+        for k, th in enumerate(thetas):
+            aset = closure_oracle(replace(cfg, theta=th), field=field)
+            sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
+            assert sites == set(aset.labels)
 
 
 @settings(max_examples=15, deadline=None)
@@ -380,11 +389,10 @@ def test_nb_levels_ties_count_as_not_increasing(q):
     cfg = nb_config(metric=Metric(q), box_radius=6)
     thetas = [0.0, 0.25, 0.5, 1.0]
     box = _Box.of(cfg)
-    lvl, _ = _levels(box, box.uniforms(field), thetas)
-    for k, th in enumerate(thetas):
-        aset = closure_oracle(replace(cfg, theta=th), field=field)
-        sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
-        assert sites == set(aset.labels)
+    fields = [field, LabelField(6), field]
+    lvls, _ = _levels(box, box.uniforms(fields), thetas)
+    assert_levels_equal_closures(cfg, box, fields, lvls, thetas)
+    lvl = lvls[0]
     assert 1 < np.count_nonzero(lvl == 0) < np.count_nonzero(lvl < len(thetas))
 
 
@@ -396,9 +404,66 @@ def test_nb_levels_reject_non_monotone_openness():
     values[(5, 1)] = math.nextafter(0.65, 1.0)
     field = FixedField(values, default=0.01)
     cfg = nb_config(metric=Metric(40), box_radius=5)
-    with pytest.raises(RuntimeError, match="monotone"):
-        box = _Box.of(cfg)
-        _levels(box, box.uniforms(field), [0.0, 1.0])
+    for fields in ([field], [LabelField(1), field]):  # alone, and second in a batch
+        with pytest.raises(RuntimeError, match="monotone"):
+            box = _Box.of(cfg)
+            _levels(box, box.uniforms(fields), [0.0, 1.0])
+
+
+@pytest.mark.parametrize("tail", [(-1, 0), (-2, 1), (-1, -3)])
+def test_box_rejects_edges_that_leave_the_shell_order(tail):
+    # unit steps change ||v||_1 by one: an allowed edge toward the origin
+    # breaks the order the shell pass relies on
+    box = _Box.of(nb_config(box_radius=3))
+    head = tuple(c + s for c, s in zip(tail, (1, 0)))
+    assert sum(map(abs, head)) == sum(map(abs, tail)) - 1
+    further = [f.copy() for f in box.further]
+    further[lattice._steps(2).index((1, 0))][tuple(c + box.offset for c in tail)] = True
+    with pytest.raises(RuntimeError, match="shell"):
+        replace(box, further=tuple(further))
+    assert replace(box, further=box.further).shells == box.shells
+
+
+def crossing_results(cfg, grid, replicas):
+    """Sweep rows and per-drift crossing estimates, and the replica count
+    of every ``_levels`` call."""
+    calls = []
+    levels = lattice._levels
+
+    def recording(box, u, thetas):
+        calls.append(len(u))
+        return levels(box, u, thetas)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "_levels", recording)
+        rows = sweep_theta(cfg, grid, replicas)
+        ests = [crossing_probability(replace(cfg, theta=th), replicas) for th in grid]
+    return rows, [(e.crossings, e.estimate, e.stderr) for e in ests], calls
+
+
+@pytest.mark.parametrize("mode", ["nb", "all"])
+@pytest.mark.parametrize("q", [1, math.inf])
+@pytest.mark.parametrize("dim, r", [(2, 8), (3, 3)])
+def test_crossings_independent_of_replica_batches(monkeypatch, mode, q, dim, r):
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r, seed=11)
+    grid = [0.5, 0.1, 0.2, 0.3, 0.4, 0.6]
+    sites = (2 * r + 1) ** dim
+    results = {}
+    for batch, budget in [
+        (1, 1),
+        (3, 3 * sites * lattice._BYTES_PER_REPLICA_SITE + 5),
+        (7, lattice.BATCH_BYTES),
+    ]:
+        monkeypatch.setattr(lattice, "BATCH_BYTES", budget)
+        rows, ests, calls = crossing_results(cfg, grid, 7)
+        sizes = [batch] * (7 // batch) + [7 % batch] * (7 % batch > 0)
+        # sweep_theta: one call per replica batch in "nb" mode, one per
+        # batch and drift in mode "all"; then one per batch for each drift
+        sweep = sizes if mode == "nb" else [n for n in sizes for _ in grid]
+        assert calls == sweep + sizes * len(grid)
+        results[batch] = rows, ests
+    assert results[1] == results[3] == results[7]
+    assert any(0 < crossings < 7 for crossings, _, _ in results[7][1])
 
 
 def test_symmetry_under_reflection():
