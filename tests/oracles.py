@@ -3,6 +3,8 @@
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
 ``rmfperc.tree``, so the tests can compare the two replica by replica.
+``step_oracle`` is one generation of a batch of parents, child by child
+from the scalar hash, for the array kernel ``_step_arrays``.
 ``count_oracle`` draws offspring counts the way the engine did before
 ``OffspringDistribution.sample`` took keys: a count hash for every law,
 then the inverse CDF with the table built afresh on each call.
@@ -98,6 +100,36 @@ def step_frontier(
         child_keys = child_keys[:cap]
         truncated = True
     return Frontier(frontier.generation + 1, child_u, child_keys, truncated)
+
+
+def step_oracle(uniforms, keys, replica, slots, theta, offspring, field, cap):
+    """``tree._step_arrays`` one child at a time, from the scalar hash.
+
+    Child i of parent j has key ``field.derive_key(keys[j], _CHILD_BASE +
+    i)`` and mark ``field.uniform_from_key`` of it; the offspring counts
+    come from ``count_oracle``, and a child is kept iff u' > u - theta.
+    Returns (child_uniforms, child_keys, child_replica, counts) with every
+    slot's full kept count; the children of a slot whose count passes
+    ``cap`` are left out, as the engine drops them.
+    """
+    counts = count_oracle(offspring, keys, field)
+    children = []
+    kept = np.zeros(slots, dtype=np.int64)
+    for j in range(len(uniforms)):
+        threshold = float(uniforms[j]) - theta
+        for i in range(int(counts[j])):
+            key = field.derive_key(int(keys[j]), _CHILD_BASE + i)
+            u = field.uniform_from_key(key)
+            if u > threshold:
+                children.append((u, key, int(replica[j])))
+                kept[replica[j]] += 1
+    children = [child for child in children if kept[child[2]] <= cap]
+    return (
+        np.array([u for u, _, _ in children], dtype=np.float64),
+        np.array([k for _, k, _ in children], dtype=np.uint64),
+        np.array([r for _, _, r in children], dtype=np.int64),
+        kept,
+    )
 
 
 def count_oracle(offspring: OffspringDistribution, keys, field: LabelField) -> np.ndarray:

@@ -13,6 +13,7 @@ from oracles import (
     count_oracle,
     root_frontier,
     step_frontier,
+    step_oracle,
     survival_oracle,
     theta_sweep_oracle,
 )
@@ -160,6 +161,32 @@ def test_offspring_validation():
         OffspringDistribution.binomial(5, 1.2)
     with pytest.raises(ValueError):
         OffspringDistribution.deterministic(-1)
+
+
+@pytest.mark.parametrize(
+    "kind, args",
+    [
+        ("deterministic", (2.5,)),
+        ("deterministic", (float("inf"),)),
+        ("deterministic", (float("nan"),)),
+        ("binomial", (3.7, 0.5)),
+        ("binomial", (float("inf"), 0.5)),
+        ("binomial", (float("nan"), 0.5)),
+    ],
+)
+def test_offspring_counts_must_be_whole(kind, args):
+    # rejected, not rounded: deterministic(2.5) once became deterministic(2)
+    with pytest.raises(ValueError, match="whole number"):
+        getattr(OffspringDistribution, kind)(*args)
+
+
+def test_offspring_accepts_integral_floats():
+    for law, same in (
+        (OffspringDistribution.deterministic(2.0), OffspringDistribution.deterministic(2)),
+        (OffspringDistribution.deterministic(np.int64(3)), OffspringDistribution.deterministic(3)),
+        (OffspringDistribution.binomial(4.0, 0.5), OffspringDistribution.binomial(4, 0.5)),
+    ):
+        assert law == same and type(law.params[0]) is int
 
 
 # --- frontier stepping --------------------------------------------------------
@@ -416,6 +443,8 @@ def test_martingale_trace_same_with_sliced_replica(monkeypatch):
 
 _OFFSPRING = [
     OffspringDistribution.deterministic(2),
+    OffspringDistribution.deterministic(1),
+    OffspringDistribution.deterministic(3),
     OffspringDistribution.poisson(1.5),
     OffspringDistribution.geometric(1.3),
     OffspringDistribution.binomial(3, 0.6),
@@ -450,19 +479,31 @@ def _same_trace(a, b):
     )
 
 
+def _law_and_depth(depth):
+    """A law of ``_OFFSPRING`` and a number of generations from 1 to
+    ``depth``, fewer for a mean above 2, so that no law's tree outgrows a
+    binary tree ``depth`` generations deep."""
+
+    def depths(law):
+        top = depth if law.mean <= 2 else int(depth * math.log(2) / math.log(law.mean))
+        return st.tuples(st.just(law), st.integers(1, top))
+
+    return st.sampled_from(_OFFSPRING).flatmap(depths)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    offspring=st.sampled_from(_OFFSPRING),
+    law_depth=_law_and_depth(7),
     theta=st.sampled_from([0.1, 0.25, 0.45, 0.7, 1.0]),
-    generations=st.integers(1, 7),
     replicas=st.integers(1, 40),
     seed=st.integers(0, 2**32 - 1),
     budget=st.one_of(st.integers(1, 100), st.integers(1, tree.MEMBER_BUDGET)),
     data=st.data(),
 )
 def test_results_independent_of_batching_and_unhit_cap(
-    offspring, theta, generations, replicas, seed, budget, data
+    law_depth, theta, replicas, seed, budget, data
 ):
+    offspring, generations = law_depth
     _, _, _, sizes = tree._histories(
         theta, offspring, generations, np.arange(replicas), tree.DEFAULT_CAP, LabelField(seed),
         weight=np.zeros_like,
@@ -482,6 +523,98 @@ def test_results_independent_of_batching_and_unhit_cap(
         hit_counts, hit_trace = _tree_results(theta, offspring, generations, replicas, hit, seed)
         assert b_hit[0] == hit_counts and hit_counts[1] > 0
         assert b_hit[1] is None and hit_trace is None
+
+
+_STEP_LAWS = [
+    OffspringDistribution.deterministic(0),
+    OffspringDistribution.deterministic(1),
+    OffspringDistribution.deterministic(2),
+    OffspringDistribution.deterministic(3),
+    OffspringDistribution.poisson(1.5),
+    OffspringDistribution.poisson(6.0),
+    OffspringDistribution.geometric(1.3),
+    OffspringDistribution.binomial(3, 0.6),
+]
+
+
+def _counting_sample(mp, calls):
+    """Patch ``OffspringDistribution.sample`` to record its parent counts."""
+    sample = OffspringDistribution.sample
+
+    def counting(self, keys, field):
+        calls.append(len(keys))
+        return sample(self, keys, field)
+
+    mp.setattr(OffspringDistribution, "sample", counting)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    offspring=st.sampled_from(_STEP_LAWS),
+    parents=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.integers(0, 2**64 - 1),
+            st.integers(0, 4),
+        ),
+        max_size=40,
+    ),
+    theta=st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 1.0)),
+    cap=st.one_of(st.integers(1, 40), st.just(tree.DEFAULT_CAP)),
+    budget=st.one_of(st.integers(1, 4), st.integers(1, 100), st.just(tree.MEMBER_BUDGET)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_arrays_equal_scalar_oracle(offspring, parents, theta, cap, budget, seed):
+    # budgets below m put one parent in each slice; small caps are passed
+    # mid-step, after which the slices skip the parents of capped slots
+    uniforms = np.array([u for u, _, _ in parents], dtype=np.float64)
+    keys = np.array([k for _, k, _ in parents], dtype=np.uint64)
+    replica = np.array([r for _, _, r in parents], dtype=np.int64)
+    field = LabelField(seed)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "MEMBER_BUDGET", budget)
+        _counting_sample(mp, calls)
+        got = tree._step_arrays(uniforms, keys, replica, 5, theta, offspring, field, cap)
+    want = step_oracle(uniforms, keys, replica, 5, theta, offspring, field, cap)
+    assert calls == [len(parents)]
+    for a, b in zip(got[:3], want[:3]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    live = want[3] <= cap
+    assert np.array_equal(got[3] <= cap, live)
+    assert np.array_equal(got[3][live], want[3][live])
+
+
+@pytest.mark.parametrize("offspring", _STEP_LAWS[1:], ids=repr)
+def test_step_ties_count_as_not_increasing(offspring):
+    # at theta = 0 each parent's mark is its first child's mark, and a
+    # child is kept only if its mark is strictly larger
+    field = LabelField(11)
+    keys = field.derive_key_array(np.arange(30, dtype=np.uint64), np.uint64(5))
+    first = field.uniform_from_key_array(field.derive_key_array(keys, np.uint64(tree._CHILD_BASE)))
+    replica = np.zeros(30, dtype=np.int64)
+    got = tree._step_arrays(first, keys, replica, 1, 0.0, offspring, field, tree.DEFAULT_CAP)
+    want = step_oracle(first, keys, replica, 1, 0.0, offspring, field, tree.DEFAULT_CAP)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert not np.isin(first, got[0]).any()
+
+
+@pytest.mark.parametrize("offspring", _STEP_LAWS, ids=repr)
+def test_sample_runs_once_per_step(monkeypatch, offspring):
+    # the benchmark tracer counts members stepped through ``sample``
+    steps, calls = [], []
+    step = tree._step_arrays
+
+    def recording(uniforms, *args):
+        steps.append(len(uniforms))
+        return step(uniforms, *args)
+
+    monkeypatch.setattr(tree, "_step_arrays", recording)
+    monkeypatch.setattr(tree, "MEMBER_BUDGET", 50)
+    _counting_sample(monkeypatch, calls)
+    survival_probability(0.3, offspring, 8, 60, cap=200, seed=4)
+    assert steps and calls == steps
 
 
 # --- crossing estimation --------------------------------------------------------
@@ -539,19 +672,19 @@ def test_theta_c_curve_validates_whole_sweep_first():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    offspring=st.sampled_from(_OFFSPRING),
+    law_horizon=_law_and_depth(12),
     grid=st.lists(
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=8
     ).flatmap(lambda g: st.permutations(g + g[: len(g) // 2])),
-    horizon=st.integers(1, 12),
     cap=st.sampled_from([30, tree.DEFAULT_CAP]),
     replicas=st.integers(1, 60),
     seed=st.integers(0, 2**32 - 1),
     budget=st.one_of(st.integers(1, 100), st.just(tree.MEMBER_BUDGET)),
 )
 def test_theta_c_curve_equals_per_drift_oracle(
-    offspring, grid, horizon, cap, replicas, seed, budget
+    law_horizon, grid, cap, replicas, seed, budget
 ):
+    offspring, horizon = law_horizon
     # unsorted grids with duplicates, truncating and unhit caps, any batching
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tree, "MEMBER_BUDGET", budget)
