@@ -243,15 +243,12 @@ def _cmd_tree_martingale(args):
     _emit(doc, args)
 
 
-def _lattice_config(args, theta: float = 0.5) -> LatticeConfig:
-    """The config of a lattice command; a grid command's drifts come from
-    its grid, so it keeps the default ``theta``."""
+def _lattice_config(args) -> LatticeConfig:
     return LatticeConfig(
         dimension=args.dim,
         metric=Metric(args.q),
         mode=args.mode,
         box_radius=args.radius,
-        theta=theta,
         seed=args.seed,
     )
 
@@ -270,10 +267,10 @@ def _lattice_doc(command: str, cfg: LatticeConfig, args) -> dict:
 
 
 def _cmd_lattice_sim(args):
-    cfg = _lattice_config(args, args.theta)
-    est = crossing_probability(cfg, args.replicas)
+    cfg = _lattice_config(args)
+    est = crossing_probability(cfg, args.theta, args.replicas)
     doc = _lattice_doc("lattice-sim", cfg, args)
-    doc.update(theta=cfg.theta, crossing=est.estimate, stderr=est.stderr)
+    doc.update(theta=args.theta, crossing=est.estimate, stderr=est.stderr)
     _emit(doc, args)
 
 
@@ -289,7 +286,7 @@ def _cmd_lattice_export(args):
     if args.grid is not None:
         aset = sweep_accessible_min_theta(_lattice_config(args), args.grid)
     else:
-        aset = accessible_set(_lattice_config(args, args.theta))
+        aset = accessible_set(_lattice_config(args), args.theta)
     _write(export_accessible(aset, args.format), args.out)
 
 

@@ -60,12 +60,8 @@ def _combine_np(key: np.ndarray, value: np.ndarray) -> np.ndarray:
     return _mix_np(z)
 
 
-def _u01(key: int) -> float:
-    # 53 high bits, offset by half a step: values lie strictly inside (0,1)
-    return ((key >> 11) + 0.5) * 2.0**-53
-
-
 def _u01_np(key: np.ndarray) -> np.ndarray:
+    # 53 high bits, offset by half a step: values lie strictly inside (0,1)
     u = (key >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
@@ -123,11 +119,6 @@ class Metric:
             return sum(abs(int(c)) ** p for c in site)
         return math.fsum(abs(int(c)) ** self.q for c in site)
 
-    def norm(self, site: Sequence[int]) -> float:
-        if self.q == math.inf:
-            return float(self.power_key(site))
-        return float(self.power_key(site)) ** (1.0 / self.q)
-
     def power_key_array(self, coords: np.ndarray) -> np.ndarray:
         """Vectorised ``power_key`` of an (N, dim) integer array, equal to
         it key by key: int64 for q = inf and integer q (Python ints in an
@@ -147,9 +138,9 @@ class Metric:
         return np.array(keys, dtype=np.float64).reshape(a.shape[:-1])
 
     def norm_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorised ``norm`` of an (N, dim) integer array, bit-identical
-        to it: each exact power sum from ``power_key_array`` gets the same
-        float root as ``norm``."""
+        """The l^q distances of an (N, dim) integer array: each exact power
+        sum from ``power_key_array`` as a float, to the power 1/q (the sum
+        itself for q = inf)."""
         keys = self.power_key_array(coords)
         if self.q == math.inf:
             return keys.astype(np.float64)
@@ -180,15 +171,6 @@ class LabelField:
         for c in site_or_id:
             key = _combine(key, int(c))
         return key
-
-    def derive_key(self, key: int, value: int) -> int:
-        return _combine(key, value)
-
-    def uniform_at(self, site_or_id) -> float:
-        return _u01(self.key_of(site_or_id))
-
-    def uniform_from_key(self, key: int) -> float:
-        return _u01(key)
 
     # vectorised variants used by the simulators
 

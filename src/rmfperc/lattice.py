@@ -20,12 +20,12 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
 
-from .core import LabelField, Metric, ResourceGuardError, _guard_bytes
+from .core import LabelField, Metric, _guard_bytes
 
 __all__ = [
     "LatticeConfig",
@@ -48,7 +48,7 @@ __all__ = [
 # ``crossing_probability`` with one replica peaks at 89-98 in 2-D (107 in
 # 3-D, r = 12), mode "all" at 65-94.  ``accessible_set`` adds Python dicts
 # of the reached sites and peaks at about 300 on a fully reached 2-D box,
-# over this budget.
+# so ``_accessible`` budgets 320 per box site.
 _BYTES_PER_SITE = 128
 
 # replica batches of ``_crossings``: at most BATCH_BYTES of per-replica
@@ -64,24 +64,16 @@ BATCH_BYTES = 2**25
 _BYTES_PER_REPLICA_SITE = 32
 
 
-def _guard_box(side: int, dimension: int, box_radius: int) -> None:
-    """Raise unless a box of side**dimension sites fits the memory guard."""
-    _guard_bytes(
-        side**dimension * _BYTES_PER_SITE,
-        f"box with radius {box_radius} in dimension {dimension}",
-    )
-
-
 @dataclass(frozen=True)
 class LatticeConfig:
-    """Exploration parameters for one accessible-set computation.
+    """The box and label field of a lattice computation; the drift is an
+    argument of each engine.
 
     ``mode`` is "nb" (non-backtracking: each step strictly increases the
     l^q distance to the origin) or "all" (any simple path).  The box is
     the sup-norm ball of Z^dimension of radius ``box_radius`` about the
     origin, every orthant included; crossing means touching
-    ||v||_q >= box_radius.  A grid sweep takes its drifts from the grid,
-    not from ``theta``.  Construction raises ``ResourceGuardError`` when
+    ||v||_q >= box_radius.  The engines raise ``ResourceGuardError`` when
     the box would pass the memory guard.
     """
 
@@ -89,7 +81,6 @@ class LatticeConfig:
     metric: Metric = dc_field(default_factory=lambda: Metric(1.0))
     mode: str = "nb"
     box_radius: int = 50
-    theta: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -99,9 +90,6 @@ class LatticeConfig:
             raise ValueError(f"mode must be 'nb' or 'all', got {self.mode!r}")
         if self.box_radius < 1:
             raise ValueError(f"box_radius must be >= 1, got {self.box_radius}")
-        if not (0.0 <= self.theta <= 1.0):
-            raise ValueError(f"theta must lie in [0,1], got {self.theta}")
-        _guard_box(2 * self.box_radius + 1, self.dimension, self.box_radius)
 
 
 @dataclass
@@ -112,7 +100,7 @@ class AccessibleSet:
     reached in-neighbour over an open edge (None at the origin), so every
     membership carries a verifiable increasing witness chain.
     ``min_theta`` is filled by sweeps: the smallest grid drift at which
-    the site became accessible.
+    the site became accessible.  ``theta`` is the drift it was built at.
     """
 
     config: LatticeConfig
@@ -120,6 +108,7 @@ class AccessibleSet:
     predecessors: dict
     frontier_reached: bool
     min_theta: Optional[dict] = None
+    theta: Optional[float] = None
 
     def __len__(self):
         return len(self.labels)
@@ -142,16 +131,18 @@ def _steps(dimension: int):
     return steps
 
 
-def accessible_set(config: LatticeConfig, field: Optional[LabelField] = None) -> AccessibleSet:
-    """Forward reachability closure from the origin.
+def accessible_set(config: LatticeConfig, theta: float,
+                   field: Optional[LabelField] = None) -> AccessibleSet:
+    """Forward reachability closure from the origin at drift ``theta``.
 
     Edge u -> v exists iff u, v are lattice neighbours inside the box,
     X_u < X_v, and in "nb" mode v is strictly further from the origin
     under the exact distance comparison.
     """
+    thetas = _checked_grid([theta])
     if field is None:
         field = LabelField(config.seed)
-    return _accessible(config, field, [config.theta])[0]
+    return _accessible(config, field, thetas)[0]
 
 
 @dataclass(frozen=True)
@@ -170,15 +161,17 @@ class CrossingEstimate:
         return math.sqrt(p * (1.0 - p) / self.replicas)
 
 
-def crossing_probability(config: LatticeConfig, replicas: int) -> CrossingEstimate:
-    """Fraction of independent label fields whose accessible set touches
-    ||v||_q >= box_radius.  Replica i uses the field derived from
-    (config.seed, i)."""
-    crossings = _crossings(config, [config.theta], replicas)
-    return CrossingEstimate(config, replicas, crossings[config.theta])
+def crossing_probability(config: LatticeConfig, theta: float, replicas: int) -> CrossingEstimate:
+    """Fraction of independent label fields whose accessible set at drift
+    ``theta`` touches ||v||_q >= box_radius.  Replica i uses the field
+    derived from (config.seed, i)."""
+    thetas = _checked_grid([theta])
+    crossings = _crossings(config, thetas, replicas)
+    return CrossingEstimate(config, replicas, crossings[thetas[0]])
 
 
 def _checked_grid(theta_grid) -> list:
+    """The drifts as floats; the one drift check of the lattice engines."""
     grid = [float(t) for t in theta_grid]
     for th in grid:
         if not (0.0 <= th <= 1.0):
@@ -190,6 +183,12 @@ def _distinct_sorted(grid: list) -> list:
     """The grid sorted, keeping the first of each run of equal drifts."""
     thetas = sorted(grid)
     return [t for i, t in enumerate(thetas) if i == 0 or t != thetas[i - 1]]
+
+
+def _batches(mode: str, thetas: list) -> list:
+    """The drifts of each ``_levels`` call: all of them in "nb" mode, whose
+    sets are nested in theta, and one per call in mode "all"."""
+    return [thetas] if mode == "nb" else [[th] for th in thetas]
 
 
 def _edge_views(arr: np.ndarray, step: tuple):
@@ -258,9 +257,13 @@ class _Box:
         object.__setattr__(self, "into", into)
 
     @classmethod
-    def of(cls, config: LatticeConfig) -> "_Box":
+    def of(cls, config: LatticeConfig, per_site: int = _BYTES_PER_SITE) -> "_Box":
+        """The box of ``config``.  Before anything is built, raises
+        ``ResourceGuardError`` if it needs more than the memory guard at
+        ``per_site`` bytes per site."""
         r, dim = config.box_radius, config.dimension
         shape = (2 * r + 1,) * dim
+        _guard_bytes(math.prod(shape) * per_site, f"box with radius {r} in dimension {dim}")
         coords = np.indices(shape).reshape(dim, -1).T - r
         further = None
         if config.mode == "nb":
@@ -358,23 +361,22 @@ def _levels(box: _Box, u: np.ndarray, thetas: list):
 
 
 def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
-    """The accessible set at drift ``thetas[-1]`` = ``config.theta`` and,
-    in the set's order, each site's smallest index into the sorted
-    distinct drifts ``thetas`` at which it was accessible.  This is a
-    batch of one replica for the engine of ``_crossings``: one ``_levels``
-    call in "nb" mode, one per drift in mode "all"; the set is built once,
-    from the last.
+    """The accessible set at drift ``thetas[-1]`` and, in the set's order,
+    each site's smallest index into the sorted distinct drifts ``thetas``
+    at which it was accessible.  This is a batch of one replica for the
+    engine of ``_crossings``: one ``_levels`` call in "nb" mode, one per
+    drift in mode "all"; the set is built once, from the last.
 
     A site's predecessor is a reached in-neighbour over an edge open at
     the last drift, picked by one pass per step direction (a later
     direction replaces an earlier one); the labels strictly decrease along
     predecessors, so every chain ends at the origin.
     """
-    box = _Box.of(config)
+    box = _Box.of(config, per_site=320)  # the box and the site dicts built from it
     u = box.uniforms([field])
     first = np.full(box.norms.shape, len(thetas), dtype=np.min_scalar_type(len(thetas)))
     done = 0
-    for batch in [thetas] if config.mode == "nb" else [[th] for th in thetas]:
+    for batch in _batches(config.mode, thetas):
         lvl, edges = _levels(box, u, batch)
         lvl, edges = lvl[0], edges[0]
         np.minimum(first, done + lvl.astype(first.dtype), out=first, where=lvl < len(batch))
@@ -402,7 +404,7 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
     labels = dict(zip(sites, x.tolist()))
     predecessors = dict(zip(sites, map(sites.__getitem__, came_from)))
     predecessors[(0,) * config.dimension] = None  # its zero move pointed at itself
-    return AccessibleSet(config, labels, predecessors, frontier_reached), levels
+    return AccessibleSet(config, labels, predecessors, frontier_reached, theta=thetas[-1]), levels
 
 
 def _crossings(config: LatticeConfig, thetas: list, replicas: int) -> dict:
@@ -418,7 +420,7 @@ def _crossings(config: LatticeConfig, thetas: list, replicas: int) -> dict:
         raise ValueError("replicas must be >= 1")
     box = _Box.of(config)
     base = LabelField(config.seed)
-    batches = [thetas] if config.mode == "nb" else [[th] for th in thetas]
+    batches = _batches(config.mode, thetas)
     size = max(1, BATCH_BYTES // (box.norms.size * _BYTES_PER_REPLICA_SITE))
     crossings = dict.fromkeys(thetas, 0)
     for start in range(0, replicas, size):
@@ -457,8 +459,7 @@ def sweep_accessible_min_theta(config: LatticeConfig, theta_grid) -> AccessibleS
     thetas = _distinct_sorted(_checked_grid(theta_grid))
     if not thetas:
         raise ValueError("theta grid must be nonempty")
-    field = LabelField(config.seed)
-    final, levels = _accessible(replace(config, theta=thetas[-1]), field, thetas)
+    final, levels = _accessible(config, LabelField(config.seed), thetas)
     final.min_theta = dict(zip(final.labels, [thetas[k] for k in levels.tolist()]))
     return final
 
@@ -507,10 +508,9 @@ def oriented_coupling_check(theta: float, seed: int, box_radius: int) -> Couplin
     """
     if box_radius < 1:
         raise ValueError(f"box_radius must be >= 1, got {box_radius}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0,1], got {theta}")
+    (theta,) = _checked_grid([theta])
     r = box_radius
-    _guard_box(r + 2, 2, r)
+    _guard_bytes((r + 2) ** 2 * _BYTES_PER_SITE, f"box with radius {r} in dimension 2")
     field = LabelField(seed)
     axis = np.arange(r + 2)
     u = field.uniform_grid([axis, axis])
@@ -563,7 +563,7 @@ def export_accessible(aset: AccessibleSet, fmt: str = "json") -> bytes:
             "q": "inf" if cfg.metric.q == math.inf else cfg.metric.q,
             "mode": cfg.mode,
             "box_radius": cfg.box_radius,
-            "theta": cfg.theta,
+            "theta": aset.theta,
             "seed": cfg.seed,
             "frontier_reached": aset.frontier_reached,
             "sites": [

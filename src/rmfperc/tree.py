@@ -134,14 +134,36 @@ class OffspringDistribution:
             return self.params[0] * self.params[1]
         return self.params[0]
 
+    @property
+    def _table_length(self) -> int:
+        """Entries of the Poisson or binomial CDF table, 0 for the other
+        laws; in closed form, so the guard reads it before the table is
+        built."""
+        if self.kind == "poisson":
+            m = self.params[0]
+            return int(m + 12.0 * math.sqrt(m) + 30) + 1  # tail mass < 1e-18
+        return self.params[0] + 1 if self.kind == "binomial" else 0
+
+    @property
+    def _widest(self) -> float:
+        """The most children one parent can have: k, n, the Poisson table
+        length (a uniform above its last entry counts that many), or the
+        geometric count at the largest uniform 1 - 2^-54, where log(1 - u)
+        is log(2^-54); inf where p rounds to 1."""
+        if self.kind == "poisson":
+            return self._table_length
+        if self.kind != "geometric":
+            return self.params[0]
+        log_p = math.log(self.params[0] / (1.0 + self.params[0]))
+        return math.floor(math.log(2.0**-54) / log_p) if log_p else math.inf
+
     @functools.cached_property
     def _cdf(self) -> np.ndarray:
         """The Poisson or binomial CDF table, built on first use.  It is
         not a dataclass field, so equality, hashing and repr do not see it."""
         if self.kind == "poisson":
             m = self.params[0]
-            kmax = int(m + 12.0 * math.sqrt(m) + 30)  # tail mass < 1e-18
-            ks = np.arange(kmax + 1)
+            ks = np.arange(self._table_length)
             log_fact = np.array([math.lgamma(k + 1) for k in ks])
             logpmf = ks * math.log(m) - m - log_fact
             return np.cumsum(np.exp(logpmf))
@@ -408,23 +430,31 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
     return extinct_at, capped_at, sums, sizes
 
 
-def _guard_run(replicas, cap, trace_cells=0):
-    """Raise ``ResourceGuardError`` unless a replica's frontier near ``cap``
+def _guard_run(replicas, cap, offspring, trace_cells=0):
+    """Raise ``ResourceGuardError`` unless a replica's frontier near ``cap``,
+    the children of the widest parent of ``offspring`` with its CDF table,
     and the per-replica arrays, with ``trace_cells`` trace entries per
-    replica, fit the memory guard.  Nothing is allocated before it."""
+    replica, fit the memory guard.  Nothing is allocated before it: a step
+    builds every child of one parent at once, at about 44 bytes each, and
+    the table takes about 48 bytes per entry while it is built, so both
+    count ``_BYTES_PER_MEMBER``."""
     _guard_bytes(cap * _BYTES_PER_MEMBER, f"a frontier of up to cap={cap} members")
+    _guard_bytes(
+        (offspring._widest + offspring._table_length) * _BYTES_PER_MEMBER,
+        f"the children of one parent under {offspring.kind} offspring of mean {offspring.mean}",
+    )
     per_replica = _BYTES_PER_REPLICA + _BYTES_PER_TRACE_CELL * max(trace_cells, 0)
     _guard_bytes(replicas * per_replica, f"a run of {replicas} replicas")
 
 
-def _check_run(replicas, horizon_h, cap):
+def _check_run(replicas, horizon_h, cap, offspring):
     if replicas < 1 or horizon_h < 1:
         raise ValueError(
             f"replicas and horizon_h must be >= 1, got {replicas} and {horizon_h}"
         )
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    _guard_run(replicas, cap)
+    _guard_run(replicas, cap, offspring)
 
 
 def survival_probability(
@@ -441,7 +471,7 @@ def survival_probability(
     flagged as truncated (supercritical frontiers explode; stopping them
     early cannot misclassify an extinction).
     """
-    _check_run(replicas, horizon_h, cap)
+    _check_run(replicas, horizon_h, cap, offspring)
     extinct_at, capped_at, _, _ = _histories(
         theta, offspring, horizon_h, np.arange(replicas), cap, LabelField(seed)
     )
@@ -505,7 +535,7 @@ def estimate_theta_c_tree(
     outside = ~((thetas >= 0.0) & (thetas <= 1.0))
     if outside.any():
         raise ValueError(f"theta grid must lie in [0,1], got {thetas[outside].tolist()}")
-    _check_run(replicas, horizon_h, cap)
+    _check_run(replicas, horizon_h, cap, offspring)
     field = LabelField(seed)
     mid = max(1, horizon_h // 2)
     levels, level_of = np.unique(thetas, return_inverse=True)
@@ -564,7 +594,7 @@ def martingale_trace(
     Raises if any replica hits the frontier cap, since truncation would
     bias the trace.
     """
-    _guard_run(replicas, cap, trace_cells=generations + 1)
+    _guard_run(replicas, cap, offspring, trace_cells=generations + 1)
     m = offspring.mean
     lam = lead_eigenvalue(m, theta)
     _, capped_at, sums, sizes = _histories(

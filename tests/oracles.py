@@ -1,5 +1,8 @@
 """Slow references for the tests.
 
+``uniform_at``, ``derive_key``, ``uniform_from_key`` and ``norm`` are the
+scalar hash and distance, one site or key at a time: the definitions the
+array forms of ``rmfperc.core`` are held to, bit for bit.
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
 ``rmfperc.tree``, so the tests can compare the two replica by replica.
@@ -21,7 +24,7 @@ of ``rmfperc.analytic``, as the paper's cutset and Z^n bounds do.
 ``BrickId``, ``brick_ids_up_to``, ``Brick``, ``brick_build``,
 ``edge_open`` and ``brick_good`` are the scalar definitions of the
 bricklayer coupling in the paper's (x, y) coordinates, one brick and one
-edge at a time through ``LabelField.uniform_at``; the brick masks, the
+edge at a time through ``uniform_at``; the brick masks, the
 array goodness grid and the witness-path verification of
 ``rmfperc.bricklayer``, which work on (k, y) grid indices, are compared
 against them.
@@ -36,7 +39,7 @@ import numpy as np
 
 from rmfperc.analytic import _floor_one_over, _log_path_term
 from rmfperc.bricklayer import BrickConfig
-from rmfperc.core import LabelField
+from rmfperc.core import LabelField, Metric, _combine
 from rmfperc.tree import (
     DEFAULT_CAP,
     MIN_EVENTS,
@@ -48,6 +51,33 @@ from rmfperc.tree import (
     _histories,
     _step_arrays,
 )
+
+
+def uniform_from_key(key: int) -> float:
+    """The uniform of a hash key: its 53 high bits, offset by half a step,
+    so values lie strictly inside (0, 1)."""
+    return ((key >> 11) + 0.5) * 2.0**-53
+
+
+def derive_key(key: int, value: int) -> int:
+    """A key with ``value`` folded in, as tree children derive theirs."""
+    return _combine(key, value)
+
+
+def uniform_at(field, site_or_id) -> float:
+    """The uniform of one site or id of a ``LabelField``; a test double
+    such as ``conftest.FixedField`` gives its own."""
+    if isinstance(field, LabelField):
+        return uniform_from_key(field.key_of(site_or_id))
+    return field.uniform_at(site_or_id)
+
+
+def norm(metric: Metric, site) -> float:
+    """The l^q distance of one site: the exact power sum ``power_key`` as
+    a float, to the power 1/q (the sum itself for q = inf)."""
+    if metric.q == math.inf:
+        return float(metric.power_key(site))
+    return float(metric.power_key(site)) ** (1.0 / metric.q)
 
 
 @dataclass
@@ -66,10 +96,10 @@ class Frontier:
 
 
 def root_frontier(field: LabelField, replica: int = 0) -> Frontier:
-    key = field.derive_key(field.derive_key(field.key_of(_TREE_TAG), replica), _CHILD_BASE)
+    key = derive_key(derive_key(field.key_of(_TREE_TAG), replica), _CHILD_BASE)
     return Frontier(
         generation=0,
-        uniforms=np.array([field.uniform_from_key(key)]),
+        uniforms=np.array([uniform_from_key(key)]),
         keys=np.array([key], dtype=np.uint64),
     )
 
@@ -105,8 +135,8 @@ def step_frontier(
 def step_oracle(uniforms, keys, replica, slots, theta, offspring, field, cap):
     """``tree._step_arrays`` one child at a time, from the scalar hash.
 
-    Child i of parent j has key ``field.derive_key(keys[j], _CHILD_BASE +
-    i)`` and mark ``field.uniform_from_key`` of it; the offspring counts
+    Child i of parent j has key ``derive_key(keys[j], _CHILD_BASE + i)``
+    and mark ``uniform_from_key`` of it; the offspring counts
     come from ``count_oracle``, and a child is kept iff u' > u - theta.
     Returns (child_uniforms, child_keys, child_replica, counts) with every
     slot's full kept count; the children of a slot whose count passes
@@ -118,8 +148,8 @@ def step_oracle(uniforms, keys, replica, slots, theta, offspring, field, cap):
     for j in range(len(uniforms)):
         threshold = float(uniforms[j]) - theta
         for i in range(int(counts[j])):
-            key = field.derive_key(int(keys[j]), _CHILD_BASE + i)
-            u = field.uniform_from_key(key)
+            key = derive_key(int(keys[j]), _CHILD_BASE + i)
+            u = uniform_from_key(key)
             if u > threshold:
                 children.append((u, key, int(replica[j])))
                 kept[replica[j]] += 1
@@ -389,9 +419,9 @@ def edge_open(edge, field: LabelField, config: BrickConfig) -> bool:
     (a, b), (a2, b2) = edge
     if a2 == a + 1 and b2 == b:
         w = config.window_margin
-        return w < field.uniform_at((a, b)) < 1.0 - w
+        return w < uniform_at(field, (a, b)) < 1.0 - w
     if a2 == a and b2 == b + 1:
-        return field.uniform_at((a, b)) < field.uniform_at((a, b2))
+        return uniform_at(field, (a, b)) < uniform_at(field, (a, b2))
     raise ValueError(f"not a brick edge: {edge}")
 
 

@@ -144,9 +144,9 @@ def test_08_tree_phase_transition():
 
 def test_09_lattice_transition():
     with criterion(9, "graph-distance lattice crossing brackets theta_c~0.33", 600.0):
-        base = dict(dimension=2, metric=rp.Metric(1), mode="nb", box_radius=100, seed=20)
-        lo = rp.crossing_probability(rp.LatticeConfig(theta=0.25, **base), 500)
-        hi = rp.crossing_probability(rp.LatticeConfig(theta=0.45, **base), 500)
+        cfg = rp.LatticeConfig(dimension=2, metric=rp.Metric(1), mode="nb", box_radius=100, seed=20)
+        lo = rp.crossing_probability(cfg, 0.25, 500)
+        hi = rp.crossing_probability(cfg, 0.45, 500)
         assert lo.estimate < 0.1
         assert hi.estimate > 0.5
 

@@ -16,7 +16,9 @@ from rmfperc import (
 from rmfperc import bricklayer, core
 from rmfperc.bricklayer import _brick_sites, _bricks_up_to
 from conftest import FixedField, grid_from_array
-from oracles import BrickId, brick_build, brick_good, brick_ids_up_to, edge_open
+from oracles import (
+    BrickId, brick_build, brick_good, brick_ids_up_to, edge_open, norm, uniform_at,
+)
 
 
 def enumerate_brick(x, y, n):
@@ -152,7 +154,7 @@ def test_vertical_edge_probability_half():
     # spot check against edge_open on a few columns
     for col in range(50):
         assert edge_open(((col, 0), (col, 1)), field, cfg) == (
-            field.uniform_at((col, 0)) < field.uniform_at((col, 1))
+            uniform_at(field, (col, 0)) < uniform_at(field, (col, 1))
         )
 
 
@@ -305,7 +307,7 @@ def test_distance_gap_exhaustive_scan():
 
 
 def distance_gap_oracle(config, brick_range):
-    """The scalar double loop: (sites, min gap, violations) from Metric.norm."""
+    """The scalar double loop: (sites, min gap, violations) from ``norm``."""
     metric = config.metric
     if config.q == math.inf:
         a_min, bound = 0, 1.0 - 2.0 * config.n**-2.0
@@ -317,7 +319,7 @@ def distance_gap_oracle(config, brick_range):
         r0 = 2 * brick_id.y
         for a in range(max(c0, a_min), c0 + config.n + 1):
             for b in (r0, r0 + 1, r0 + 2):
-                gap = metric.norm((a + 1, b)) - metric.norm((a, b))
+                gap = norm(metric, (a + 1, b)) - norm(metric, (a, b))
                 sites += 1
                 min_gap = min(min_gap, gap)
                 if not gap > bound:
@@ -419,8 +421,8 @@ def test_open_implies_increasing_rejects_vacuous_checks(cfg, theta):
 
 
 def implication_oracle(theta, config, samples, seed, x_max):
-    """The per-brick, per-row loop with scalar ``uniform_at`` and
-    ``Metric.norm``: (horizontal checked, vertical checked, violations)."""
+    """The per-brick, per-row loop with the scalar ``uniform_at`` and
+    ``norm``: (horizontal checked, vertical checked, violations)."""
     n, w, metric = config.n, config.window_margin, config.metric
     a_min = 0 if config.q == math.inf else compute_A(config)
     ids = [b for b in brick_ids_up_to(x_max) if b.x >= 2]
@@ -431,19 +433,19 @@ def implication_oracle(theta, config, samples, seed, x_max):
         field = LabelField(base.key_of((0x6272, s)))
 
         def label(site):
-            return field.uniform_at(site) + theta * metric.norm(site)
+            return uniform_at(field, site) + theta * norm(metric, site)
 
         for brick_id in ids:
             c0, r0 = int(brick_id.x * n), 2 * brick_id.y
             for b in (r0, r0 + 1):
                 bad_hor, bad_ver = [], []
                 for a in range(c0, c0 + n):
-                    if a >= a_min and w < field.uniform_at((a, b)) < 1.0 - w:
+                    if a >= a_min and w < uniform_at(field, (a, b)) < 1.0 - w:
                         hor += 1
                         if not label((a + 1, b)) > label((a, b)):
                             bad_hor.append(a)
                 for a in range(c0, c0 + n + 1):
-                    if field.uniform_at((a, b)) < field.uniform_at((a, b + 1)):
+                    if uniform_at(field, (a, b)) < uniform_at(field, (a, b + 1)):
                         ver += 1
                         if not label((a, b + 1)) > label((a, b)):
                             bad_ver.append(a)

@@ -377,6 +377,12 @@ def test_oversized_brick_range_exit_code(tmp_path):
         ["tree-martingale", "--m", "3", "--theta", "0.3", "--cap", "100000000"],
         ["tree-martingale", "--m", "3", "--theta", "0.3", "--replicas", "100000000"],
         ["bricklayer", "--q", "inf", "--depth", "100000"],
+        # the children of one parent, and the count table of a Poisson law
+        ["tree-sim", "--offspring", "deterministic", "--m", "1e9", "--theta", "0.3"],
+        ["tree-sim", "--offspring", "poisson", "--m", "1e9", "--theta", "0.3"],
+        ["tree-sim", "--offspring", "geometric", "--m", "1e9", "--theta", "0.3"],
+        # the site dicts of an export, at 320 bytes per box site
+        ["lattice-export", "--radius", "2000"],
     ],
 )
 def test_guards_refuse_before_allocating(tmp_path, args):

@@ -1,3 +1,4 @@
+import json
 import math
 from collections import deque
 from dataclasses import replace
@@ -22,14 +23,14 @@ from rmfperc import (
     sweep_theta,
 )
 from rmfperc import lattice
+from rmfperc.core import _guard_bytes
 from rmfperc.lattice import CrossingEstimate, _Box, _levels, oriented_reach
 from conftest import FixedField, grid_from_array
-from oracles import first_moment_bound
+from oracles import first_moment_bound, norm, uniform_at
 
 
 def nb_config(**kw):
-    defaults = dict(dimension=2, metric=Metric(1), mode="nb", box_radius=30,
-                    theta=0.5, seed=0)
+    defaults = dict(dimension=2, metric=Metric(1), mode="nb", box_radius=30, seed=0)
     defaults.update(kw)
     return LatticeConfig(**defaults)
 
@@ -59,12 +60,12 @@ class TransformedField:
         return grid_from_array(self.uniform_array, axes)
 
 
-def closure_oracle(config, field=None):
-    """Breadth-first reference closure from the origin with scalar uniforms,
-    power keys and norms.  Labels strictly increase along every edge, so
-    the reachability graph is acyclic and each site is finalised once;
-    predecessors record the in-neighbour through which a site was first
-    reached."""
+def closure_oracle(config, theta, field=None):
+    """Breadth-first reference closure at drift ``theta`` from the origin
+    with scalar uniforms, power keys and norms.  Labels strictly increase
+    along every edge, so the reachability graph is acyclic and each site
+    is finalised once; predecessors record the in-neighbour through which
+    a site was first reached."""
     if field is None:
         field = LabelField(config.seed)
     metric = config.metric
@@ -73,7 +74,7 @@ def closure_oracle(config, field=None):
     steps = [tuple(d if i == axis else 0 for i in range(dim))
              for axis in range(dim) for d in (1, -1)]
     origin = (0,) * dim
-    labels = {origin: field.uniform_at(origin)}
+    labels = {origin: uniform_at(field, origin)}
     power_keys = {origin: metric.power_key(origin)}
     predecessors = {origin: None}
     frontier_reached = False
@@ -89,8 +90,8 @@ def closure_oracle(config, field=None):
             pv = metric.power_key(v)
             if config.mode == "nb" and not pv > power_keys[u]:
                 continue
-            nv = metric.norm(v)
-            xv = field.uniform_at(v) + config.theta * nv
+            nv = norm(metric, v)
+            xv = uniform_at(field, v) + theta * nv
             if not xv > labels[u]:
                 continue
             labels[v] = xv
@@ -98,7 +99,7 @@ def closure_oracle(config, field=None):
             predecessors[v] = u
             frontier_reached |= nv >= radius
             queue.append(v)
-    return AccessibleSet(config, labels, predecessors, frontier_reached)
+    return AccessibleSet(config, labels, predecessors, frontier_reached, theta=theta)
 
 
 def assert_witnesses(aset):
@@ -128,14 +129,13 @@ def assert_same_closure(aset, oracle):
 
 
 def test_origin_always_accessible():
-    aset = accessible_set(nb_config(theta=0.0, box_radius=10))
+    aset = accessible_set(nb_config(box_radius=10), 0.0)
     assert (0, 0) in aset.labels
     assert aset.predecessors[(0, 0)] is None
 
 
 def test_theta_one_graph_distance_fills_quadrant():
-    cfg = nb_config(theta=1.0, box_radius=12, seed=3)
-    aset = accessible_set(cfg)
+    aset = accessible_set(nb_config(box_radius=12, seed=3), 1.0)
     for i in range(13):
         for j in range(13):
             assert (i, j) in aset.labels
@@ -143,15 +143,14 @@ def test_theta_one_graph_distance_fills_quadrant():
 
 
 def test_house_of_cards_rarely_crosses():
-    cfg = LatticeConfig(dimension=2, metric=Metric(1), mode="all", box_radius=50,
-                        theta=0.0, seed=10)
-    est = crossing_probability(cfg, 500)
+    cfg = LatticeConfig(dimension=2, metric=Metric(1), mode="all", box_radius=50, seed=10)
+    est = crossing_probability(cfg, 0.0, 500)
     assert est.estimate <= 0.01
 
 
 def test_witness_chains_are_increasing():
-    cfg = nb_config(theta=0.55, box_radius=20, seed=8, metric=Metric(2))
-    aset = accessible_set(cfg)
+    cfg = nb_config(box_radius=20, seed=8, metric=Metric(2))
+    aset = accessible_set(cfg, 0.55)
     metric = cfg.metric
     for site in aset.labels:
         path = aset.witness_path(site)
@@ -163,56 +162,99 @@ def test_witness_chains_are_increasing():
 
 
 def test_accessible_set_deterministic():
-    cfg = nb_config(theta=0.4, seed=123)
-    a = accessible_set(cfg)
-    b = accessible_set(cfg)
+    cfg = nb_config(seed=123)
+    a = accessible_set(cfg, 0.4)
+    b = accessible_set(cfg, 0.4)
     assert a.labels == b.labels
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, math.inf])
 def test_nested_in_theta_nonbacktracking(q):
     field = LabelField(44)
-    small = accessible_set(nb_config(metric=Metric(q), theta=0.35, box_radius=25), field=field)
-    large = accessible_set(nb_config(metric=Metric(q), theta=0.55, box_radius=25), field=field)
+    cfg = nb_config(metric=Metric(q), box_radius=25)
+    small = accessible_set(cfg, 0.35, field=field)
+    large = accessible_set(cfg, 0.55, field=field)
     assert set(small.labels) <= set(large.labels)
 
 
 def test_nonbacktracking_subset_of_all_paths():
     field = LabelField(91)
-    nb = accessible_set(nb_config(theta=0.45, box_radius=25), field=field)
-    al = accessible_set(
-        LatticeConfig(dimension=2, metric=Metric(1), mode="all", box_radius=25,
-                      theta=0.45, seed=0),
-        field=field,
-    )
+    nb = accessible_set(nb_config(box_radius=25), 0.45, field=field)
+    al = accessible_set(nb_config(mode="all", box_radius=25), 0.45, field=field)
     assert set(nb.labels) <= set(al.labels)
+
+
+class GuardPassed(Exception):
+    """Stops a run right after its byte guard passes, before anything is built."""
+
+
+def passes_guard(monkeypatch, run) -> bool:
+    """Whether ``run()`` passes the lattice byte guard; it stops at the
+    guard either way, so nothing is built."""
+    def guard_then_stop(need, what):
+        _guard_bytes(need, what)
+        raise GuardPassed
+
+    monkeypatch.setattr(lattice, "_guard_bytes", guard_then_stop)
+    try:
+        run()
+    except GuardPassed:
+        return True
+    except ResourceGuardError:
+        return False
+    raise AssertionError("the run never reached the guard")
 
 
 def test_resource_guard():
     with pytest.raises(ResourceGuardError):
-        LatticeConfig(dimension=2, metric=Metric(1), box_radius=6000, theta=0.5)
+        _Box.of(LatticeConfig(dimension=2, metric=Metric(1), box_radius=6000))
     with pytest.raises(ResourceGuardError):
-        LatticeConfig(dimension=4, metric=Metric(1), box_radius=200, theta=0.5)
+        crossing_probability(LatticeConfig(dimension=4, metric=Metric(1), box_radius=200), 0.5, 1)
 
 
-def test_resource_guard_counts_bytes_of_the_box():
+def test_resource_guard_counts_bytes_of_the_box(monkeypatch):
     with pytest.raises(ResourceGuardError, match="bytes"):
-        LatticeConfig(dimension=3, metric=Metric(1), box_radius=200)
-    LatticeConfig(dimension=3, metric=Metric(1), box_radius=150)
-    LatticeConfig(dimension=2, metric=Metric(1), box_radius=2000)
+        _Box.of(LatticeConfig(dimension=3, metric=Metric(1), box_radius=200))
+    for dim, r in ((3, 150), (2, 2000)):
+        assert passes_guard(monkeypatch, lambda: _Box.of(nb_config(dimension=dim, box_radius=r)))
+
+
+def test_accessible_set_guards_its_site_dicts(monkeypatch):
+    # 320 bytes per box site: (2r + 1)^2 * 320 <= 2^32 up to r = 1831
+    for r, ok in ((1831, True), (1832, False), (2000, False)):
+        cfg = nb_config(box_radius=r)
+        assert passes_guard(monkeypatch, lambda: accessible_set(cfg, 0.5)) == ok
+        assert passes_guard(monkeypatch, lambda: sweep_accessible_min_theta(cfg, [0.5])) == ok
+        assert passes_guard(monkeypatch, lambda: _Box.of(cfg))
+
+
+ENTRY_POINTS = {
+    "accessible_set": lambda cfg, th: accessible_set(cfg, th),
+    "crossing_probability": lambda cfg, th: crossing_probability(cfg, th, 3),
+    "sweep_theta": lambda cfg, th: sweep_theta(cfg, [0.5, th], 3),
+    "sweep_accessible_min_theta": lambda cfg, th: sweep_accessible_min_theta(cfg, [th, 0.5]),
+    "oriented_coupling_check": lambda cfg, th: oriented_coupling_check(th, cfg.seed, cfg.box_radius),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("theta", [1.5, -0.1, math.nan])
+def test_every_entry_point_rejects_a_bad_drift(entry, theta):
+    # the box is past the byte guard: the drift is checked first
+    with pytest.raises(ValueError, match="theta"):
+        ENTRY_POINTS[entry](nb_config(box_radius=6000), theta)
 
 
 def test_three_dimensional_box():
-    cfg = LatticeConfig(dimension=3, metric=Metric(1), mode="nb", box_radius=8,
-                        theta=1.0, seed=5)
-    aset = accessible_set(cfg)
+    cfg = LatticeConfig(dimension=3, metric=Metric(1), mode="nb", box_radius=8, seed=5)
+    aset = accessible_set(cfg, 1.0)
     assert aset.frontier_reached
     assert (1, 1, 1) in aset.labels
 
 
 def test_non_integer_metric_exploration():
-    cfg = nb_config(metric=Metric(1.5), theta=0.6, box_radius=15, seed=12)
-    aset = accessible_set(cfg)
+    cfg = nb_config(metric=Metric(1.5), box_radius=15, seed=12)
+    aset = accessible_set(cfg, 0.6)
     metric = cfg.metric
     for site in aset.labels:
         path = aset.witness_path(site)
@@ -230,10 +272,9 @@ def test_non_integer_metric_exploration():
 )
 def test_accessible_set_equals_closure_oracle(q, mode, shape, theta, seed):
     dim, r = shape
-    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r,
-                        theta=theta, seed=seed)
-    aset = accessible_set(cfg)
-    assert_same_closure(aset, closure_oracle(cfg))
+    cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=r, seed=seed)
+    aset = accessible_set(cfg, theta)
+    assert_same_closure(aset, closure_oracle(cfg, theta))
     assert_witnesses(aset)
 
 
@@ -243,9 +284,9 @@ def test_accessible_set_ties_count_as_not_increasing(mode, theta):
     # quarter-step uniforms and integer distances make exact label ties
     base = LabelField(5)
     field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
-    cfg = nb_config(mode=mode, box_radius=6, theta=theta)
-    aset = accessible_set(cfg, field=field)
-    assert_same_closure(aset, closure_oracle(cfg, field=field))
+    cfg = nb_config(mode=mode, box_radius=6)
+    aset = accessible_set(cfg, theta, field=field)
+    assert_same_closure(aset, closure_oracle(cfg, theta, field=field))
     assert_witnesses(aset)
 
 
@@ -253,14 +294,15 @@ def test_accessible_set_ties_count_as_not_increasing(mode, theta):
 
 
 def test_crossing_certain_at_theta_one():
-    est = crossing_probability(nb_config(theta=1.0, box_radius=40), 25)
+    est = crossing_probability(nb_config(box_radius=40), 1.0, 25)
     assert est.estimate == 1.0
 
 
 def test_crossing_brackets_reported_threshold():
     # theta_c ~ 0.33 for graph distance without backtracking
-    lo = crossing_probability(nb_config(theta=0.25, box_radius=60, seed=31), 120)
-    hi = crossing_probability(nb_config(theta=0.45, box_radius=60, seed=31), 120)
+    cfg = nb_config(box_radius=60, seed=31)
+    lo = crossing_probability(cfg, 0.25, 120)
+    hi = crossing_probability(cfg, 0.45, 120)
     assert lo.estimate < 0.1
     assert hi.estimate > 0.5
 
@@ -283,8 +325,7 @@ def test_sweep_pseudo_critical_location_graph_distance():
 
 
 def test_sweep_euclidean_all_paths_transition():
-    cfg = LatticeConfig(dimension=2, metric=Metric(2), mode="all", box_radius=80,
-                        theta=0.5, seed=11)
+    cfg = LatticeConfig(dimension=2, metric=Metric(2), mode="all", box_radius=80, seed=11)
     rows = sweep_theta(cfg, [0.32, 0.36, 0.40, 0.44, 0.48, 0.52, 0.56], 40)
     crossing = half_plateau_crossing(rows)
     assert 0.40 < crossing < 0.60
@@ -296,9 +337,8 @@ def sweep_theta_oracle(config, theta_grid, replicas):
     fields = [LabelField(base.key_of((0x6C61, i))) for i in range(replicas)]
     rows = []
     for th in theta_grid:
-        cfg = replace(config, theta=float(th))
-        crossings = sum(closure_oracle(cfg, field=f).frontier_reached for f in fields)
-        est = CrossingEstimate(cfg, replicas, crossings)
+        crossings = sum(closure_oracle(config, float(th), field=f).frontier_reached for f in fields)
+        est = CrossingEstimate(config, replicas, crossings)
         rows.append({"theta": float(th), "crossing": est.estimate, "stderr": est.stderr})
     return rows
 
@@ -308,7 +348,7 @@ def min_theta_oracle(config, theta_grid):
     field = LabelField(config.seed)
     min_theta = {}
     for th in sorted(float(t) for t in theta_grid):
-        final = closure_oracle(replace(config, theta=th), field=field)
+        final = closure_oracle(config, th, field=field)
         for site in final.labels:
             min_theta.setdefault(site, th)
     final.min_theta = min_theta
@@ -346,7 +386,7 @@ def assert_levels_equal_closures(cfg, box, fields, lvls, thetas):
     assert len(lvls) == len(fields)
     for field, lvl in zip(fields, lvls):
         for k, th in enumerate(thetas):
-            aset = closure_oracle(replace(cfg, theta=th), field=field)
+            aset = closure_oracle(cfg, th, field=field)
             sites = {tuple(v) for v in (np.argwhere(lvl <= k) - box.offset).tolist()}
             assert sites == set(aset.labels)
 
@@ -366,7 +406,7 @@ def test_sweep_theta_equals_crossing_probability(q, mode, shape, grid, seed):
     rows = sweep_theta(cfg, grid, 12)
     assert rows == sweep_theta_oracle(cfg, grid, 12)
     for row in rows:
-        est = crossing_probability(replace(cfg, theta=row["theta"]), 12)
+        est = crossing_probability(cfg, row["theta"], 12)
         assert (row["crossing"], row["stderr"]) == (est.estimate, est.stderr)
 
 
@@ -437,7 +477,7 @@ def crossing_results(cfg, grid, replicas):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lattice, "_levels", recording)
         rows = sweep_theta(cfg, grid, replicas)
-        ests = [crossing_probability(replace(cfg, theta=th), replicas) for th in grid]
+        ests = [crossing_probability(cfg, th, replicas) for th in grid]
     return rows, [(e.crossings, e.estimate, e.stderr) for e in ests], calls
 
 
@@ -468,14 +508,14 @@ def test_crossings_independent_of_replica_batches(monkeypatch, mode, q, dim, r):
 
 def test_symmetry_under_reflection():
     # reachability law is invariant under coordinate permutation + sign flip
-    base_cfg = nb_config(theta=0.38, box_radius=40)
+    base_cfg = nb_config(box_radius=40)
     n = 80
     plain, reflected = 0, 0
     for i in range(n):
         field = LabelField(1000 + i)
-        plain += accessible_set(base_cfg, field=field).frontier_reached
+        plain += accessible_set(base_cfg, 0.38, field=field).frontier_reached
         tfield = TransformedField(field, lambda c: np.stack([-c[:, 1], c[:, 0]], axis=-1))
-        reflected += accessible_set(base_cfg, field=tfield).frontier_reached
+        reflected += accessible_set(base_cfg, 0.38, field=tfield).frontier_reached
     p1, p2 = plain / n, reflected / n
     band = 3 * math.sqrt((p1 * (1 - p1) + p2 * (1 - p2)) / n + 1e-12)
     assert abs(p1 - p2) <= band + 1e-9
@@ -563,9 +603,6 @@ def test_oriented_coupling_validates_inputs():
     for radius in (0, -3):
         with pytest.raises(ValueError, match="box_radius"):
             oriented_coupling_check(0.5, 1, radius)
-    for theta in (1.5, -0.1, math.nan):
-        with pytest.raises(ValueError, match="theta"):
-            oriented_coupling_check(theta, 1, 10)
     with pytest.raises(ResourceGuardError):
         oriented_coupling_check(0.5, 1, 6000)
     # the guard counts the (r + 2)^2 sites the check hashes: 5793^2 * 128 > 2^32
@@ -584,7 +621,7 @@ def test_oriented_coupling_trivial_drifts():
 
 
 def test_export_origin_only_round_trip():
-    aset = accessible_set(nb_config(theta=0.0, box_radius=5, seed=1000))
+    aset = accessible_set(nb_config(box_radius=5, seed=1000), 0.0)
     if len(aset) > 1:  # keep only the origin for the minimal-record case
         aset.labels = {(0, 0): aset.labels[(0, 0)]}
     for fmt in ("csv", "json"):
@@ -594,9 +631,13 @@ def test_export_origin_only_round_trip():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_export_round_trip_exact(fmt):
-    aset = accessible_set(nb_config(theta=0.5, box_radius=15, seed=4, metric=Metric(2)))
-    parsed = parse_accessible(export_accessible(aset, fmt), fmt)
+    aset = accessible_set(nb_config(box_radius=15, seed=4, metric=Metric(2)), 0.5)
+    payload = export_accessible(aset, fmt)
+    parsed = parse_accessible(payload, fmt)
     assert set(parsed) == set(aset.labels)
+    assert aset.theta == 0.5
+    if fmt == "json":
+        assert json.loads(payload)["theta"] == 0.5
     for site, (label, min_theta) in parsed.items():
         assert label == aset.labels[site]
         assert min_theta is None
@@ -604,13 +645,9 @@ def test_export_round_trip_exact(fmt):
 
 def test_min_theta_sweep_nested_sets():
     # larger drift contains the smaller on a shared field (quartic metric)
-    cfg = LatticeConfig(dimension=2, metric=Metric(4), mode="nb", box_radius=30,
-                        theta=0.62, seed=9)
+    cfg = LatticeConfig(dimension=2, metric=Metric(4), mode="nb", box_radius=30, seed=9)
     annotated = sweep_accessible_min_theta(cfg, [0.53, 0.62])
-    small = accessible_set(
-        LatticeConfig(dimension=2, metric=Metric(4), mode="nb", box_radius=30,
-                      theta=0.53, seed=9)
-    )
+    small = accessible_set(cfg, 0.53)
     assert set(small.labels) <= set(annotated.labels)
     for site in small.labels:
         assert annotated.min_theta[site] == 0.53
@@ -633,7 +670,7 @@ def test_min_theta_sweep_nested_sets():
 def test_min_theta_export_equals_per_theta_loop(q, dim, radius, grid, fmt):
     for mode in ("nb", "all"):
         cfg = LatticeConfig(dimension=dim, metric=Metric(q), mode=mode, box_radius=radius,
-                            theta=0.5, seed=17)
+                            seed=17)
         new = sweep_accessible_min_theta(cfg, grid)
         old = min_theta_oracle(cfg, grid)
         assert export_accessible(new, fmt) == export_accessible(old, fmt)
@@ -646,4 +683,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         nb_config(mode="diagonal")
     with pytest.raises(ValueError):
-        nb_config(theta=1.3)
+        nb_config(box_radius=0)

@@ -419,12 +419,40 @@ def _traces_at_both_budgets(monkeypatch, offspring, generations, replicas):
 
 
 def test_default_sizes_fit_the_guard():
-    tree._guard_run(10_000, tree.DEFAULT_CAP, trace_cells=11)  # tree-martingale defaults
-    tree._guard_run(100_000, 200_000, trace_cells=11)  # acceptance 7
-    tree._guard_run(2000, 20_000)  # acceptance 8
-    tree._guard_run(1, 2**32 // tree._BYTES_PER_MEMBER)
+    poisson = OffspringDistribution.poisson(3.0)
+    tree._guard_run(10_000, tree.DEFAULT_CAP, poisson, trace_cells=11)  # tree-martingale defaults
+    tree._guard_run(100_000, 200_000, poisson, trace_cells=11)  # acceptance 7
+    tree._guard_run(2000, 20_000, OffspringDistribution.deterministic(2))  # acceptance 8
+    tree._guard_run(1, 2**32 // tree._BYTES_PER_MEMBER, poisson)
     with pytest.raises(ResourceGuardError, match="cap"):
-        tree._guard_run(1, 2**32 // tree._BYTES_PER_MEMBER + 1)
+        tree._guard_run(1, 2**32 // tree._BYTES_PER_MEMBER + 1, poisson)
+
+
+def test_guard_counts_the_widest_parent_and_the_table():
+    most = 2**32 // tree._BYTES_PER_MEMBER  # children and table entries together
+    fits = [
+        OffspringDistribution.deterministic(most),
+        OffspringDistribution.binomial((most - 1) // 2, 0.5),  # n children, n + 1 entries
+        OffspringDistribution.poisson(3.0),
+        OffspringDistribution.geometric(1e5),
+    ]
+    over = [
+        OffspringDistribution.deterministic(most + 1),
+        OffspringDistribution.binomial((most - 1) // 2 + 1, 0.5),
+        OffspringDistribution.poisson(1e9),
+        OffspringDistribution.geometric(1e9),  # 3.7e10 children at u = 1 - 2^-54
+        OffspringDistribution.geometric(1e300),  # p rounds to 1
+    ]
+    for law in fits:
+        tree._guard_run(1, 1, law)
+    for law in over:
+        with pytest.raises(ResourceGuardError, match="one parent"):
+            tree._guard_run(1, 1, law)
+    for law in fits + over:
+        assert "_cdf" not in vars(law)  # the guard reads the table length in closed form
+    law = OffspringDistribution.poisson(30.0)
+    assert law._table_length == len(law._cdf)
+    assert OffspringDistribution.binomial(7, 0.2)._table_length == 8
 
 
 def test_martingale_trace_same_at_old_member_budget(monkeypatch):
