@@ -46,6 +46,10 @@ _SLAB_BYTES = 440_000
 _BYTES_PER_GRID_CELL = 80
 _SLAB_COPIES = 5
 
+# hash-stream tags of the bricklayer replicas and of the implication samples
+_BRICK_TAG = 0x626C
+_SAMPLE_TAG = 0x6272
+
 
 @dataclass(frozen=True)
 class BrickConfig:
@@ -275,9 +279,8 @@ def open_implies_increasing_check(
     dist = config.metric.norm_array(sites)
     hor_checked = ver_checked = 0
     violations = []
-    base = LabelField(seed)
-    for s in range(samples):
-        u = LabelField(base.key_of((0x6272, s))).uniform_array(sites)
+    for s, field in enumerate(LabelField(seed).replicas(_SAMPLE_TAG, range(samples))):
+        u = field.uniform_array(sites)
         x = u + theta * dist
         # edges leave rows 2y and 2y+1: horizontal ones from all but the last
         # column to the right neighbour, vertical ones to the row above
@@ -482,15 +485,13 @@ def simulate_bricklayer(
     if config.n % 4 != 0:
         raise ValueError(f"bricks need n divisible by 4, got {config.n}")
     _guard_depth(config, depth)
-    base = LabelField(seed)
     percolating = 0
     verified = 0
     good_sum = 0
     brick_sum = 0
     records = []
     valid = _bricks_up_to(depth)
-    for r in range(replicas):
-        field = LabelField(base.key_of((0x626C, r)))
+    for r, field in enumerate(LabelField(seed).replicas(_BRICK_TAG, range(replicas))):
         good, lcol, rcol = _goodness_grid(field, config, depth)
         good_sum += int(good[valid].sum())
         brick_sum += int(valid.sum())

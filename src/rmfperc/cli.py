@@ -94,9 +94,7 @@ def _offspring_from_args(args) -> OffspringDistribution:
     if kind != "binomial" and args.trials is not None:
         raise ValueError(f"--trials applies only to binomial offspring, not {kind}")
     if kind == "deterministic":
-        if not float(args.m).is_integer():
-            raise ValueError(f"deterministic offspring needs an integer --m, got {args.m}")
-        return OffspringDistribution.deterministic(int(args.m))
+        return OffspringDistribution.deterministic(args.m)
     if kind == "poisson":
         return OffspringDistribution.poisson(args.m)
     if kind == "geometric":

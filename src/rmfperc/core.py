@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,21 +22,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix(z: int) -> int:
-    """splitmix64 finalizer; full avalanche on 64-bit words."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def _combine(key: int, value: int) -> int:
-    """Fold one integer into a hash key."""
-    return _mix(key ^ ((value & _MASK) * _GOLDEN & _MASK) ^ _GOLDEN)
-
-
-# The array forms work in place on their own temporaries: the same integer
-# operations as the scalar forms, with fewer fresh arrays per call.
+# The hash works on arrays of 64-bit words, in place on its own temporaries.
+# ``tests/oracles.py`` holds a scalar splitmix64 written independently, one
+# Python int at a time, that every key and uniform is held to bit for bit.
 
 
 def _mix_np(z: np.ndarray) -> np.ndarray:
@@ -61,7 +48,10 @@ def _combine_np(key: np.ndarray, value: np.ndarray) -> np.ndarray:
 
 
 def _u01_np(key: np.ndarray) -> np.ndarray:
-    # 53 high bits, offset by half a step: values lie strictly inside (0,1)
+    # 53 high bits, offset by half a step: values lie in (0, 1], from 2^-54
+    # up.  From key 2^63 on the half step is a float tie and rounds to even,
+    # so the largest value below 1 is 1 - 2^-52, and every key of 2^64 - 2^11
+    # or more gives exactly 1.0
     u = (key >> np.uint64(11)).astype(np.float64)
     u += 0.5
     u *= 2.0**-53
@@ -69,6 +59,9 @@ def _u01_np(key: np.ndarray) -> np.ndarray:
 
 
 _EMPTY_SITE = "a site needs at least one coordinate"
+
+# replica fields hashed per array call by ``LabelField.replicas``
+_REPLICA_BLOCK = 1024
 
 # the most bytes one run may ask for, found in closed form before anything
 # is allocated; the engines guard their boxes, grids and frontiers with it
@@ -107,23 +100,11 @@ class Metric:
     def is_integer(self) -> bool:
         return self.q != math.inf and float(self.q).is_integer()
 
-    def power_key(self, site: Sequence[int]):
-        """Exact comparison key: ||site||_q^q as an int for integer q,
-        max|coord| for q = inf, float fallback otherwise."""
-        if len(site) == 0:
-            raise ValueError(_EMPTY_SITE)
-        if self.q == math.inf:
-            return max(abs(int(c)) for c in site)
-        if self.is_integer:
-            p = int(self.q)
-            return sum(abs(int(c)) ** p for c in site)
-        return math.fsum(abs(int(c)) ** self.q for c in site)
-
     def power_key_array(self, coords: np.ndarray) -> np.ndarray:
-        """Vectorised ``power_key`` of an (N, dim) integer array, equal to
-        it key by key: int64 for q = inf and integer q (Python ints in an
-        object array once the sums could pass int64), ``power_key`` of
-        each site (fsum floats) otherwise."""
+        """The exact comparison key ||v||_q^q of each site of an (N, dim)
+        integer array: int64 for q = inf (max|coord|) and integer q (Python
+        ints in an object array once the sums could pass int64), otherwise
+        the ``math.fsum`` of each site's Python float powers."""
         a = np.abs(np.asarray(coords, dtype=np.int64))
         if a.shape[-1] == 0:
             raise ValueError(_EMPTY_SITE)
@@ -134,7 +115,7 @@ class Metric:
             if a.shape[-1] * int(a.max(initial=0)) ** p >= 2**63:
                 a = a.astype(object)  # Python ints: exact past int64
             return (a**p).sum(axis=-1)
-        keys = [self.power_key(site) for site in a.reshape(-1, a.shape[-1]).tolist()]
+        keys = [math.fsum(c**self.q for c in site) for site in a.reshape(-1, a.shape[-1]).tolist()]
         return np.array(keys, dtype=np.float64).reshape(a.shape[:-1])
 
     def norm_array(self, coords: np.ndarray) -> np.ndarray:
@@ -152,25 +133,33 @@ class Metric:
 class LabelField:
     """Deterministic map (seed, id) -> Uniform(0,1).
 
-    Ids are ints or tuples of ints.  The same id always yields the same
-    value, values never hit 0 or 1 exactly, and distinct ids behave as
-    independent uniforms.  Tree simulations derive per-node keys by folding
-    child indices into the parent key, so lazily grown trees see stable
-    uniforms in any evaluation order.
+    Ids are ints or tuples of ints; the seed counts modulo 2^64.  The same
+    id always yields the same value, and distinct ids behave as independent
+    uniforms.  Values lie in (0, 1]: 1.0 itself occurs, with probability
+    2^-53, and the largest value below it is 1 - 2^-52.  Tree simulations
+    derive per-node keys by folding child indices into the parent key, so
+    lazily grown trees see stable uniforms in any evaluation order.
     """
 
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "_root", _mix(self.seed & _MASK))
+        root = _mix_np(np.array([self.seed & _MASK], dtype=np.uint64))
+        object.__setattr__(self, "_root", int(root[0]))
 
-    def key_of(self, site_or_id) -> int:
-        key = self._root
-        if isinstance(site_or_id, (int, np.integer)):
-            return _combine(key, int(site_or_id))
-        for c in site_or_id:
-            key = _combine(key, int(c))
-        return key
+    def replicas(self, tag: int, ids):
+        """The fields of the replicas ``ids`` of the stream ``tag``: field i
+        is seeded with the key of the id (tag, i), the (seed, tag, i) stream.
+        The keys and the fields' roots are hashed in one array call per
+        block of ``_REPLICA_BLOCK`` ids, not one per field."""
+        for lo in range(0, len(ids), _REPLICA_BLOCK):
+            block = np.asarray(ids[lo : lo + _REPLICA_BLOCK], dtype=np.int64)
+            keys = self.key_array(np.column_stack(np.broadcast_arrays(tag, block)))
+            for key, root in zip(keys.tolist(), _mix_np(keys).tolist()):
+                field = object.__new__(LabelField)
+                object.__setattr__(field, "seed", key)
+                object.__setattr__(field, "_root", root)
+                yield field
 
     # vectorised variants used by the simulators
 

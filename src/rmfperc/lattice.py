@@ -63,6 +63,9 @@ _BYTES_PER_SITE = 128
 BATCH_BYTES = 2**25
 _BYTES_PER_REPLICA_SITE = 32
 
+# hash-stream tag of the replicas of crossing estimates and sweeps
+_CROSSING_TAG = 0x6C61
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -409,13 +412,13 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
 
 def _crossings(config: LatticeConfig, thetas: list, replicas: int) -> dict:
     """Per sorted distinct drift, the number of replicas whose accessible
-    set touches ||v||_q >= box_radius.  Replica i uses the field derived
-    from (config.seed, i).  The replicas run in batches of at most
-    ``BATCH_BYTES`` of per-replica arrays (at least one replica), stacked
-    along a leading axis.  "nb" sets are nested in theta, so one
-    ``_levels`` call per batch decides every drift: a replica crosses at
-    theta_k iff some crossing site has level <= k.  Mode "all" takes one
-    call per batch and drift."""
+    set touches ||v||_q >= box_radius.  Replica i uses the field of the
+    (config.seed, _CROSSING_TAG, i) stream.  The replicas run in batches
+    of at most ``BATCH_BYTES`` of per-replica arrays (at least one
+    replica), stacked along a leading axis.  "nb" sets are nested in
+    theta, so one ``_levels`` call per batch decides every drift: a
+    replica crosses at theta_k iff some crossing site has level <= k.
+    Mode "all" takes one call per batch and drift."""
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     box = _Box.of(config)
@@ -425,7 +428,7 @@ def _crossings(config: LatticeConfig, thetas: list, replicas: int) -> dict:
     crossings = dict.fromkeys(thetas, 0)
     for start in range(0, replicas, size):
         stop = min(start + size, replicas)
-        u = box.uniforms([LabelField(base.key_of((0x6C61, i))) for i in range(start, stop)])
+        u = box.uniforms(list(base.replicas(_CROSSING_TAG, range(start, stop))))
         for batch in batches:
             lvl, _ = _levels(box, u, batch)
             first = lvl[:, box.crossing].min(axis=1, initial=len(batch))

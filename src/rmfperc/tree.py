@@ -64,6 +64,9 @@ MIN_EVENTS = 10
 # search, Chen and Asau 1974); a power of two, so u * _GUIDE_CELLS is exact
 _GUIDE_CELLS = 1024
 
+# 1 minus the largest uniform below 1.0 (the hash also gives 1.0 itself)
+_BELOW_ONE_GAP = 2.0**-52
+
 # hash-stream tags; keep tree keys disjoint from raw site keys
 _TREE_TAG = 0x7265_65
 _COUNT_TAG = 0x636E_74
@@ -148,14 +151,15 @@ class OffspringDistribution:
     def _widest(self) -> float:
         """The most children one parent can have: k, n, the Poisson table
         length (a uniform above its last entry counts that many), or the
-        geometric count at the largest uniform 1 - 2^-54, where log(1 - u)
-        is log(2^-54); inf where p rounds to 1."""
+        geometric count at the largest uniform below 1, 1 - 2^-52, where
+        log(1 - u) is log(2^-52) (``sample`` counts u = 1.0 as that
+        uniform); inf where p rounds to 1."""
         if self.kind == "poisson":
             return self._table_length
         if self.kind != "geometric":
             return self.params[0]
         log_p = math.log(self.params[0] / (1.0 + self.params[0]))
-        return math.floor(math.log(2.0**-54) / log_p) if log_p else math.inf
+        return math.floor(math.log(_BELOW_ONE_GAP) / log_p) if log_p else math.inf
 
     @functools.cached_property
     def _cdf(self) -> np.ndarray:
@@ -169,19 +173,24 @@ class OffspringDistribution:
             return np.cumsum(np.exp(logpmf))
         if self.kind == "binomial":
             n, p = self.params
-            ks = np.arange(n + 1)
-            pmf = np.array([math.comb(n, int(k)) * p**int(k) * (1 - p) ** (n - int(k)) for k in ks])
+            try:  # C(n, n // 2) passes the float range from n = 1030 on
+                pmf = [math.comb(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)]
+            except OverflowError:
+                raise ValueError(
+                    f"binomial offspring of {n} trials: C(n, k) passes the float range"
+                ) from None
             return np.cumsum(pmf)
         raise AssertionError(self.kind)
 
     @functools.cached_property
     def _guide(self):
-        """Per cell [g/G, (g+1)/G) of (0, 1), with G = ``_GUIDE_CELLS``: the
+        """Per cell [g/G, (g+1)/G), g = 0..G, with G = ``_GUIDE_CELLS``: the
         number of CDF entries below g/G, and whether an entry lies in the
         cell.  Every entry below g/G is below a uniform u of the cell and
         none from (g+1)/G on is, so where no entry lies in the cell, the
-        first number is the count of entries below u."""
-        edges = np.searchsorted(self._cdf, np.arange(_GUIDE_CELLS + 1) / _GUIDE_CELLS, side="left")
+        first number is the count of entries below u.  The cell g = G holds
+        the uniform 1.0, which the hash also gives."""
+        edges = np.searchsorted(self._cdf, np.arange(_GUIDE_CELLS + 2) / _GUIDE_CELLS, side="left")
         return edges[:-1].astype(np.int64), edges[1:] > edges[:-1]
 
     def sample(self, keys: np.ndarray, field: LabelField) -> np.ndarray:
@@ -195,6 +204,7 @@ class OffspringDistribution:
         u = field.uniform_from_key_array(field.derive_key_array(keys, np.uint64(_COUNT_TAG)))
         if self.kind == "geometric":
             p = self.params[0] / (1.0 + self.params[0])
+            u = np.minimum(u, 1.0 - _BELOW_ONE_GAP)  # u = 1.0 would count inf children
             return np.floor(np.log1p(-u) / math.log(p)).astype(np.int64)
         below, split = self._guide
         cell = (u * _GUIDE_CELLS).astype(np.intp)
@@ -339,11 +349,8 @@ class _BatchState:
 
     def __init__(self, field: LabelField, replica_ids: np.ndarray):
         n = len(replica_ids)
-        base = field.key_of(_TREE_TAG)
-        rkeys = field.derive_key_array(
-            np.full(n, base, dtype=np.uint64), replica_ids
-        )
-        self.keys = field.derive_key_array(rkeys, np.uint64(_CHILD_BASE))
+        rows = np.column_stack(np.broadcast_arrays(_TREE_TAG, replica_ids, _CHILD_BASE))
+        self.keys = field.key_array(rows)
         self.uniforms = field.uniform_from_key_array(self.keys)
         self.replica = np.arange(n, dtype=np.int64)
         self.rows = np.arange(n)

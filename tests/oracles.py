@@ -1,8 +1,11 @@
 """Slow references for the tests.
 
-``uniform_at``, ``derive_key``, ``uniform_from_key`` and ``norm`` are the
-scalar hash and distance, one site or key at a time: the definitions the
-array forms of ``rmfperc.core`` are held to, bit for bit.
+``mix``, ``combine``, ``key_of``, ``uniform_at``, ``derive_key``,
+``uniform_from_key``, ``power_key`` and ``norm`` are the scalar hash and
+distance, one Python int, site or key at a time: the definitions the array
+forms of ``rmfperc.core`` are held to, bit for bit.  They are written here
+from the splitmix64 constants and the l^q definition, and call nothing of
+``rmfperc.core`` but the seed of a ``LabelField`` and the q of a ``Metric``.
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
 ``rmfperc.tree``, so the tests can compare the two replica by replica.
@@ -39,7 +42,7 @@ import numpy as np
 
 from rmfperc.analytic import _floor_one_over, _log_path_term
 from rmfperc.bricklayer import BrickConfig
-from rmfperc.core import LabelField, Metric, _combine
+from rmfperc.core import LabelField, Metric
 from rmfperc.tree import (
     DEFAULT_CAP,
     MIN_EVENTS,
@@ -53,31 +56,71 @@ from rmfperc.tree import (
 )
 
 
+_WORD = 2**64
+
+
+def mix(z: int) -> int:
+    """The splitmix64 finalizer of the 64-bit word ``z``."""
+    z %= _WORD
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % _WORD
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % _WORD
+    return z ^ (z >> 31)
+
+
+def combine(key: int, value: int) -> int:
+    """``key`` with the integer ``value`` folded in: value mod 2^64 times
+    the golden-ratio word G, xor the key and G, mixed."""
+    golden = 0x9E3779B97F4A7C15
+    return mix(key ^ (value % _WORD * golden % _WORD) ^ golden)
+
+
+def key_of(field: LabelField, site_or_id) -> int:
+    """The hash key of a site (a tuple of ints) or an int id: the field's
+    root, mix(seed mod 2^64), with each coordinate folded in turn."""
+    key = mix(field.seed)
+    for c in (site_or_id,) if isinstance(site_or_id, (int, np.integer)) else site_or_id:
+        key = combine(key, int(c))
+    return key
+
+
 def uniform_from_key(key: int) -> float:
-    """The uniform of a hash key: its 53 high bits, offset by half a step,
-    so values lie strictly inside (0, 1)."""
+    """The uniform of a hash key: its 53 high bits, offset by half a step.
+    Values lie in (0, 1]; every key from 2^64 - 2^11 on gives 1.0."""
     return ((key >> 11) + 0.5) * 2.0**-53
 
 
 def derive_key(key: int, value: int) -> int:
     """A key with ``value`` folded in, as tree children derive theirs."""
-    return _combine(key, value)
+    return combine(key, value)
 
 
 def uniform_at(field, site_or_id) -> float:
     """The uniform of one site or id of a ``LabelField``; a test double
     such as ``conftest.FixedField`` gives its own."""
     if isinstance(field, LabelField):
-        return uniform_from_key(field.key_of(site_or_id))
+        return uniform_from_key(key_of(field, site_or_id))
     return field.uniform_at(site_or_id)
+
+
+def power_key(metric: Metric, site):
+    """The exact comparison key ||site||_q^q: an int for integer q,
+    max|coord| for q = inf, the ``math.fsum`` of the float powers otherwise."""
+    if len(site) == 0:
+        raise ValueError("a site needs at least one coordinate")
+    a = [abs(int(c)) for c in site]
+    if metric.q == math.inf:
+        return max(a)
+    if float(metric.q).is_integer():
+        return sum(c ** int(metric.q) for c in a)
+    return math.fsum(c**metric.q for c in a)
 
 
 def norm(metric: Metric, site) -> float:
     """The l^q distance of one site: the exact power sum ``power_key`` as
     a float, to the power 1/q (the sum itself for q = inf)."""
     if metric.q == math.inf:
-        return float(metric.power_key(site))
-    return float(metric.power_key(site)) ** (1.0 / metric.q)
+        return float(power_key(metric, site))
+    return float(power_key(metric, site)) ** (1.0 / metric.q)
 
 
 @dataclass
@@ -96,7 +139,7 @@ class Frontier:
 
 
 def root_frontier(field: LabelField, replica: int = 0) -> Frontier:
-    key = derive_key(derive_key(field.key_of(_TREE_TAG), replica), _CHILD_BASE)
+    key = key_of(field, (_TREE_TAG, replica, _CHILD_BASE))
     return Frontier(
         generation=0,
         uniforms=np.array([uniform_from_key(key)]),

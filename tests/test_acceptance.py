@@ -176,8 +176,7 @@ def test_11_brick_statistics():
         n = 10_000
         good = 0
         origin = BrickId.from_grid(0, 0)
-        for i in range(n):
-            field = rp.LabelField(base.key_of((0x67, i)))
+        for field in base.replicas(0x67, range(n)):
             good += brick_good(origin, field, cfg)
         assert abs(good / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 

@@ -17,7 +17,7 @@ from rmfperc import bricklayer, core
 from rmfperc.bricklayer import _brick_sites, _bricks_up_to
 from conftest import FixedField, grid_from_array
 from oracles import (
-    BrickId, brick_build, brick_good, brick_ids_up_to, edge_open, norm, uniform_at,
+    BrickId, brick_build, brick_good, brick_ids_up_to, edge_open, key_of, norm, uniform_at,
 )
 
 
@@ -228,8 +228,7 @@ def test_empirical_goodness_matches_closed_form():
     n = 4000
     good = 0
     origin = BrickId.from_grid(0, 0)  # independence comes from fresh fields
-    for i in range(n):
-        field = LabelField(base.key_of((0x67, i)))
+    for field in base.replicas(0x67, range(n)):
         good += brick_good(origin, field, cfg)
     p_hat = good / n
     assert abs(p_hat - p) <= 3 * math.sqrt(p * (1 - p) / n)
@@ -242,9 +241,7 @@ def test_empirical_goodness_wide_euclidean_brick():
     base = LabelField(201)
     n = 100
     origin = BrickId.from_grid(0, 0)
-    good = sum(
-        brick_good(origin, LabelField(base.key_of((0x68, i))), cfg) for i in range(n)
-    )
+    good = sum(brick_good(origin, field, cfg) for field in base.replicas(0x68, range(n)))
     assert abs(good / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
@@ -430,7 +427,7 @@ def implication_oracle(theta, config, samples, seed, x_max):
     violations = []
     base = LabelField(seed)
     for s in range(samples):
-        field = LabelField(base.key_of((0x6272, s)))
+        field = LabelField(key_of(base, (0x6272, s)))  # the (seed, 0x6272, s) stream
 
         def label(site):
             return uniform_at(field, site) + theta * norm(metric, site)
@@ -487,8 +484,8 @@ def test_simulate_forced_good_field(monkeypatch):
         def __init__(self, seed):
             self.seed = seed
 
-        def key_of(self, obj):
-            return -1
+        def replicas(self, tag, ids):
+            return [self for _ in ids]
 
         def uniform_at(self, site):
             return 0.05 + 0.9 * (site[1] + 0.5) / bmax

@@ -105,6 +105,7 @@ def test_seeded_command_replay_byte_identical(tmp_path, capsysbinary, args):
 def test_bricklayer_records_good_rle_decodes_to_goodness_grid(tmp_path):
     from rmfperc import BrickConfig, LabelField
     from rmfperc.bricklayer import _goodness_grid
+    from oracles import key_of
 
     seed, depth = 8, 5
     code, payload = run_cli(
@@ -116,7 +117,8 @@ def test_bricklayer_records_good_rle_decodes_to_goodness_grid(tmp_path):
     cfg = BrickConfig(64, 2.0)
     for r, rec in enumerate(json.loads(payload)["replicas_detail"]):
         assert rec["replica"] == r
-        good = _goodness_grid(LabelField(LabelField(seed).key_of((0x626C, r))), cfg, depth)[0]
+        field = LabelField(key_of(LabelField(seed), (0x626C, r)))  # the (seed, 0x626C, r) stream
+        good = _goodness_grid(field, cfg, depth)[0]
         assert len(rec["good_rle"]) == good.shape[1] == 2 * depth + 1
         for y, (value, *runs) in enumerate(rec["good_rle"]):
             assert sum(runs) == good.shape[0]
@@ -316,6 +318,9 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
          "--theta", "0.9"],
         ["lattice-export", "--grid", "0.3:0.5:0.1", "--theta", "0.9", "--radius", "5"],
         ["lattice-export", "--theta", "0.5", "--grid", "0.3:0.5:0.1", "--radius", "5"],
+        # binomial coefficients past the float range, from 1030 trials on
+        ["tree-sim", "--offspring", "binomial", "--trials", "2000", "--m", "2", "--theta", "0.3",
+         "--replicas", "1", "--horizon", "1"],
         # past the byte guard: a resource error, not a parameter error
         ["bricklayer", "--depth", "100000"],
     ],

@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from rmfperc import LabelField, Metric
 from conftest import grid_from_array
-from oracles import norm, uniform_at
+from rmfperc.core import _u01_np
+from rmfperc.tree import _BatchState
+from oracles import key_of, norm, power_key, uniform_at, uniform_from_key
 
 
 def test_lp_distance_examples():
@@ -18,8 +20,10 @@ def test_lp_distance_examples():
 @pytest.mark.parametrize("q", [1, 1.5, 2, math.inf])
 def test_metric_rejects_empty_site(q):
     m = Metric(q)
-    calls = [(m.power_key, ()), (m.power_key, np.zeros(0, dtype=np.int64))]
-    calls += [(f, np.zeros((3, 0), dtype=np.int64)) for f in (m.power_key_array, m.norm_array)]
+    calls = [
+        (f, np.zeros(shape, dtype=np.int64))
+        for f in (m.power_key_array, m.norm_array) for shape in ((0,), (3, 0))
+    ]
     for call, site in calls:
         with pytest.raises(ValueError, match="at least one coordinate"):
             call(site)
@@ -35,9 +39,10 @@ def test_metric_rejects_q_below_one():
 
 def test_power_key_integer_exactness():
     m = Metric(4)
-    assert m.power_key((3, -2)) == 3**4 + 2**4
-    assert isinstance(m.power_key((3, -2)), int)
-    assert Metric(math.inf).power_key((-7, 3)) == 7
+    keys = m.power_key_array(np.array([(3, -2), (10**5, 10**5)])).tolist()
+    assert keys == [3**4 + 2**4, 2 * 10**20]  # the second passes int64
+    assert all(isinstance(k, int) for k in keys)
+    assert Metric(math.inf).power_key_array(np.array([(-7, 3)])).tolist() == [7]
 
 
 @pytest.mark.parametrize("q", [1, 2, 4, math.inf])
@@ -70,8 +75,8 @@ def test_norm_array_bit_identical_to_norm(q, sites):
 def test_power_key_array_equals_power_key(q, sites):
     m = Metric(q)
     keys = m.power_key_array(np.array(sites)).tolist()
-    assert keys == [m.power_key(tuple(s)) for s in sites]
-    assert all(type(k) is type(m.power_key(tuple(s))) for k, s in zip(keys, sites))
+    assert keys == [power_key(m, s) for s in sites]
+    assert all(type(k) is type(power_key(m, s)) for k, s in zip(keys, sites))
 
 
 def test_norm_array_bit_identical_on_box():
@@ -191,3 +196,77 @@ def test_distinct_seeds_decorrelated():
     a = LabelField(1).uniform_array(np.arange(1000).reshape(-1, 1))
     b = LabelField(2).uniform_array(np.arange(1000).reshape(-1, 1))
     assert not np.array_equal(a, b)
+
+
+_EXTREME_SEEDS = [0, 1, 1729, -1, -5, -(2**63), 2**64 - 1, 2**65, 2**70 + 3]
+
+
+@pytest.mark.parametrize("seed", _EXTREME_SEEDS)
+def test_keys_equal_the_scalar_oracle(seed):
+    # the seed counts modulo 2^64, ids of any sign wrap the same way
+    field = LabelField(seed)
+    sites = [(0,), (5, -3), (-(2**63), 2**63 - 1, 0), (7, 7, 7, 7)]
+    for site in sites:
+        assert field.key_array(np.array([site], dtype=np.int64)).tolist() == [key_of(field, site)]
+    assert field == LabelField(seed) and hash(field) == hash(LabelField(seed))
+
+
+@given(
+    seed=st.integers(-(2**70), 2**70),
+    sites=st.lists(st.lists(st.integers(-(10**9), 10**9), min_size=2, max_size=2), min_size=1),
+)
+def test_uniform_array_equals_the_scalar_oracle(seed, sites):
+    field = LabelField(seed)
+    assert field.uniform_array(np.array(sites)).tolist() == [uniform_at(field, s) for s in sites]
+
+
+@pytest.mark.parametrize("tag", [0x6C61, 0x626C, 0x6272, 0x67])
+@pytest.mark.parametrize("seed", [1, -1, 2**64 - 1, 2**65])
+def test_replica_fields_follow_the_stream_contract(monkeypatch, seed, tag):
+    # field i of the stream is keyed by (seed, tag, i), across hash blocks
+    monkeypatch.setattr("rmfperc.core._REPLICA_BLOCK", 3)
+    base = LabelField(seed)
+    for ids in (range(8), [5, 0, 11], np.arange(4, 9)):
+        fields = list(base.replicas(tag, ids))
+        assert [f.seed for f in fields] == [key_of(base, (tag, int(i))) for i in ids]
+        for f in fields:
+            fresh = LabelField(f.seed)
+            assert f == fresh and f._root == fresh._root
+    assert list(base.replicas(tag, range(0))) == []
+
+
+def test_hash_known_answers():
+    # literals recorded before the scalar hash left the library: a change to
+    # the one remaining hash shows here, not only in the CLI byte-identity list
+    sites = np.array([(0, 0), (3, -4), (10**6, 10**6)])
+    expected = {
+        0: [0.014033029194275015, 0.686311379334628, 0.17211669911860988],
+        1729: [0.4104091648745372, 0.7305252965978859, 0.8972208518701252],
+        -1: [0.546088721789245, 0.6896762879512861, 0.35292743988701863],
+        -(2**63): [0.4975440702296113, 0.44777705264033846, 0.394682812927806],
+    }
+    expected[2**64 - 1] = expected[-1]
+    expected[2**65] = expected[0]
+    for seed, u in expected.items():
+        assert LabelField(seed).uniform_array(sites).tolist() == u
+    streams = {
+        0x6C61: (12362101476455660419, 0.18620760013513388),
+        0x626C: (2432444421817481726, 0.3271842556342384),
+        0x6272: (6718807030803050626, 0.7542001650743453),
+    }
+    for tag, (key, u) in streams.items():
+        field = list(LabelField(1).replicas(tag, range(6)))[5]
+        assert field.seed == key
+        assert field.uniform_array(np.array([(1, 2)])).tolist() == [u]
+    roots = _BatchState(LabelField(7), np.array([0, 3]))
+    assert roots.keys.tolist() == [7078997235989723317, 6574777794988105199]
+    assert roots.uniforms.tolist() == [0.383753209113947, 0.3564194184467779]
+
+
+def test_uniform_range_ends():
+    # 2^-54 at key 0; keys from 2^64 - 2^11 on round to exactly 1.0, and the
+    # largest value below it is 1 - 2^-52
+    keys = [0, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1]
+    expected = [2.0**-54, 1.0 - 2.0**-52, 1.0, 1.0]
+    assert _u01_np(np.array(keys, dtype=np.uint64)).tolist() == expected
+    assert [uniform_from_key(k) for k in keys] == expected

@@ -26,7 +26,7 @@ from rmfperc import lattice
 from rmfperc.core import _guard_bytes
 from rmfperc.lattice import CrossingEstimate, _Box, _levels, oriented_reach
 from conftest import FixedField, grid_from_array
-from oracles import first_moment_bound, norm, uniform_at
+from oracles import first_moment_bound, key_of, norm, power_key, uniform_at
 
 
 def nb_config(**kw):
@@ -75,7 +75,7 @@ def closure_oracle(config, theta, field=None):
              for axis in range(dim) for d in (1, -1)]
     origin = (0,) * dim
     labels = {origin: uniform_at(field, origin)}
-    power_keys = {origin: metric.power_key(origin)}
+    power_keys = {origin: power_key(metric, origin)}
     predecessors = {origin: None}
     frontier_reached = False
     queue = deque([origin])
@@ -87,7 +87,7 @@ def closure_oracle(config, theta, field=None):
                 continue
             if any(abs(c) > radius for c in v):
                 continue
-            pv = metric.power_key(v)
+            pv = power_key(metric, v)
             if config.mode == "nb" and not pv > power_keys[u]:
                 continue
             nv = norm(metric, v)
@@ -114,7 +114,7 @@ def assert_witnesses(aset):
             assert sum(abs(a - b) for a, b in zip(u, v)) == 1
             assert aset.labels[v] > aset.labels[u]
             if cfg.mode == "nb":
-                assert cfg.metric.power_key(v) > cfg.metric.power_key(u)
+                assert power_key(cfg.metric, v) > power_key(cfg.metric, u)
 
 
 def assert_same_closure(aset, oracle):
@@ -156,7 +156,7 @@ def test_witness_chains_are_increasing():
         path = aset.witness_path(site)
         labels = [aset.labels[v] for v in path]
         assert all(b > a for a, b in zip(labels, labels[1:]))
-        powers = [metric.power_key(v) for v in path]
+        powers = [power_key(metric, v) for v in path]
         assert all(b > a for a, b in zip(powers, powers[1:]))
         assert path[0] == (0, 0)
 
@@ -258,7 +258,7 @@ def test_non_integer_metric_exploration():
     metric = cfg.metric
     for site in aset.labels:
         path = aset.witness_path(site)
-        powers = [metric.power_key(v) for v in path]
+        powers = [power_key(metric, v) for v in path]
         assert all(b > a for a, b in zip(powers, powers[1:]))
 
 
@@ -283,7 +283,7 @@ def test_accessible_set_equals_closure_oracle(q, mode, shape, theta, seed):
 def test_accessible_set_ties_count_as_not_increasing(mode, theta):
     # quarter-step uniforms and integer distances make exact label ties
     base = LabelField(5)
-    field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
+    field = FixedField(rule=lambda site: 0.125 + (key_of(base, site) % 4) / 4)
     cfg = nb_config(mode=mode, box_radius=6)
     aset = accessible_set(cfg, theta, field=field)
     assert_same_closure(aset, closure_oracle(cfg, theta, field=field))
@@ -334,7 +334,8 @@ def test_sweep_euclidean_all_paths_transition():
 def sweep_theta_oracle(config, theta_grid, replicas):
     """One reference closure per grid drift and replica."""
     base = LabelField(config.seed)
-    fields = [LabelField(base.key_of((0x6C61, i))) for i in range(replicas)]
+    # replica i reads the (seed, 0x6C61, i) stream of the output contract
+    fields = [LabelField(key_of(base, (0x6C61, i))) for i in range(replicas)]
     rows = []
     for th in theta_grid:
         crossings = sum(closure_oracle(config, float(th), field=f).frontier_reached for f in fields)
@@ -425,7 +426,7 @@ def test_sweep_theta_rejects_bad_grid_and_replicas(mode):
 def test_nb_levels_ties_count_as_not_increasing(q):
     # quarter-step uniforms and integer distances make exact label ties
     base = LabelField(5)
-    field = FixedField(rule=lambda site: 0.125 + (base.key_of(site) % 4) / 4)
+    field = FixedField(rule=lambda site: 0.125 + (key_of(base, site) % 4) / 4)
     cfg = nb_config(metric=Metric(q), box_radius=6)
     thetas = [0.0, 0.25, 0.5, 1.0]
     box = _Box.of(cfg)

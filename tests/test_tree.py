@@ -18,6 +18,7 @@ from oracles import (
     theta_sweep_oracle,
 )
 from rmfperc import tree
+from rmfperc.core import _u01_np
 from rmfperc import (
     LabelField,
     OffspringDistribution,
@@ -138,6 +139,46 @@ def test_guided_counts_exact_at_cdf_entries_and_cell_edges(dist):
     u = u[(u > 0.0) & (u < 1.0)]
     counts = dist.sample(np.arange(len(u), dtype=np.uint64), _GivenUniforms(u))
     assert np.array_equal(counts, np.searchsorted(cdf, u, side="left"))
+
+
+# the largest uniform below 1 and 1.0 itself, which the hash gives for every
+# key from 2^64 - 2^11 on
+_TOP_UNIFORMS = np.array([1.0 - 2.0**-52, 1.0])
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        OffspringDistribution.poisson(3.0),
+        OffspringDistribution.poisson(40.0),
+        OffspringDistribution.binomial(4, 0.5),
+        OffspringDistribution.binomial(1, 1.0),
+    ],
+)
+def test_table_counts_at_the_top_uniforms(dist):
+    # u = 1.0 reads the guide's last cell, past the cells of (0, 1)
+    keys = np.arange(2, dtype=np.uint64)
+    counts = dist.sample(keys, _GivenUniforms(_TOP_UNIFORMS))
+    assert np.array_equal(counts, np.searchsorted(dist._cdf, _TOP_UNIFORMS, side="left"))
+
+
+@pytest.mark.parametrize("mean", [0.05, 2.0, 1e5])
+def test_geometric_count_at_uniform_one_is_the_widest(mean):
+    # log1p(-1.0) is -inf: u = 1.0 counts as the largest uniform below 1,
+    # a finite count that the memory guard budgets for
+    assert _u01_np(np.array([2**64 - 1], dtype=np.uint64)).tolist() == [1.0]
+    law = OffspringDistribution.geometric(mean)
+    counts = law.sample(np.arange(2, dtype=np.uint64), _GivenUniforms(_TOP_UNIFORMS))
+    assert counts.tolist() == [law._widest] * 2
+    assert 0 <= law._widest < math.inf
+
+
+def test_binomial_table_past_the_float_range_is_a_parameter_error():
+    # C(1030, 515) does not convert to a float; 1029 trials still build
+    assert len(OffspringDistribution.binomial(1029, 0.002)._cdf) == 1030
+    law = OffspringDistribution.binomial(1030, 0.002)
+    with pytest.raises(ValueError, match="1030 trials"):
+        law.sample(np.zeros(1, dtype=np.uint64), LabelField(1))
 
 
 @pytest.mark.parametrize(
