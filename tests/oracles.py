@@ -1,10 +1,10 @@
 """Slow references for the tests.
 
-``mix``, ``combine``, ``key_of``, ``uniform_at``, ``derive_key``,
-``uniform_from_key``, ``power_key`` and ``norm`` are the scalar hash and
-distance, one Python int, site or key at a time: the definitions the array
-forms of ``rmfperc.core`` are held to, bit for bit.  They are written here
-from the splitmix64 constants and the l^q definition, and call nothing of
+``mix``, ``combine``, ``key_of``, ``uniform_at``, ``uniform_from_key``,
+``power_key`` and ``norm`` are the scalar hash and distance, one Python
+int, site or key at a time: the definitions the array forms of
+``rmfperc.core`` are held to, bit for bit.  They are written here from the
+splitmix64 constants and the l^q definition, and read nothing of
 ``rmfperc.core`` but the seed of a ``LabelField`` and the q of a ``Metric``.
 ``root_frontier`` and ``step_frontier`` evolve one replica's frontier a
 generation at a time from the same hash streams as the batched engine in
@@ -68,8 +68,9 @@ def mix(z: int) -> int:
 
 
 def combine(key: int, value: int) -> int:
-    """``key`` with the integer ``value`` folded in: value mod 2^64 times
-    the golden-ratio word G, xor the key and G, mixed."""
+    """``key`` with the integer ``value`` folded in, as sites fold their
+    coordinates and tree children their index: value mod 2^64 times the
+    golden-ratio word G, xor the key and G, mixed."""
     golden = 0x9E3779B97F4A7C15
     return mix(key ^ (value % _WORD * golden % _WORD) ^ golden)
 
@@ -87,11 +88,6 @@ def uniform_from_key(key: int) -> float:
     """The uniform of a hash key: its 53 high bits, offset by half a step.
     Values lie in (0, 1]; every key from 2^64 - 2^11 on gives 1.0."""
     return ((key >> 11) + 0.5) * 2.0**-53
-
-
-def derive_key(key: int, value: int) -> int:
-    """A key with ``value`` folded in, as tree children derive theirs."""
-    return combine(key, value)
 
 
 def uniform_at(field, site_or_id) -> float:
@@ -178,7 +174,7 @@ def step_frontier(
 def step_oracle(uniforms, keys, replica, slots, theta, offspring, field, cap):
     """``tree._step_arrays`` one child at a time, from the scalar hash.
 
-    Child i of parent j has key ``derive_key(keys[j], _CHILD_BASE + i)``
+    Child i of parent j has key ``combine(keys[j], _CHILD_BASE + i)``
     and mark ``uniform_from_key`` of it; the offspring counts
     come from ``count_oracle``, and a child is kept iff u' > u - theta.
     Returns (child_uniforms, child_keys, child_replica, counts) with every
@@ -191,7 +187,7 @@ def step_oracle(uniforms, keys, replica, slots, theta, offspring, field, cap):
     for j in range(len(uniforms)):
         threshold = float(uniforms[j]) - theta
         for i in range(int(counts[j])):
-            key = derive_key(int(keys[j]), _CHILD_BASE + i)
+            key = combine(int(keys[j]), _CHILD_BASE + i)
             u = uniform_from_key(key)
             if u > threshold:
                 children.append((u, key, int(replica[j])))

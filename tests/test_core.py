@@ -198,26 +198,18 @@ def test_distinct_seeds_decorrelated():
     assert not np.array_equal(a, b)
 
 
-_EXTREME_SEEDS = [0, 1, 1729, -1, -5, -(2**63), 2**64 - 1, 2**65, 2**70 + 3]
-
-
-@pytest.mark.parametrize("seed", _EXTREME_SEEDS)
-def test_keys_equal_the_scalar_oracle(seed):
-    # the seed counts modulo 2^64, ids of any sign wrap the same way
-    field = LabelField(seed)
-    sites = [(0,), (5, -3), (-(2**63), 2**63 - 1, 0), (7, 7, 7, 7)]
-    for site in sites:
-        assert field.key_array(np.array([site], dtype=np.int64)).tolist() == [key_of(field, site)]
-    assert field == LabelField(seed) and hash(field) == hash(LabelField(seed))
-
-
 @given(
     seed=st.integers(-(2**70), 2**70),
-    sites=st.lists(st.lists(st.integers(-(10**9), 10**9), min_size=2, max_size=2), min_size=1),
+    sites=st.lists(
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=2, max_size=2), min_size=1
+    ),
 )
-def test_uniform_array_equals_the_scalar_oracle(seed, sites):
+def test_keys_and_uniforms_equal_the_scalar_oracle(seed, sites):
+    # the seed counts modulo 2^64; coordinates of either sign wrap the same way
     field = LabelField(seed)
-    assert field.uniform_array(np.array(sites)).tolist() == [uniform_at(field, s) for s in sites]
+    coords = np.array(sites, dtype=np.int64)
+    assert field.key_array(coords).tolist() == [key_of(field, s) for s in sites]
+    assert field.uniform_array(coords).tolist() == [uniform_at(field, s) for s in sites]
 
 
 @pytest.mark.parametrize("tag", [0x6C61, 0x626C, 0x6272, 0x67])
@@ -236,8 +228,8 @@ def test_replica_fields_follow_the_stream_contract(monkeypatch, seed, tag):
 
 
 def test_hash_known_answers():
-    # literals recorded before the scalar hash left the library: a change to
-    # the one remaining hash shows here, not only in the CLI byte-identity list
+    # pinned outputs of the one hash, extreme seeds and replica streams
+    # included: a change to it fails here, not only in the CLI byte-identity list
     sites = np.array([(0, 0), (3, -4), (10**6, 10**6)])
     expected = {
         0: [0.014033029194275015, 0.686311379334628, 0.17211669911860988],
