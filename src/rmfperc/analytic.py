@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
 import mpmath
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "BoundsReport",
@@ -94,13 +95,97 @@ def _q_evaluator(theta: float):
     return coeffs, lambda x: ctx.polyval(coeffs, ctx.mpf(x))
 
 
+# the relative tolerance floor and the default iteration limit of SciPy's brentq
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _signbit(x: float) -> bool:
+    return math.copysign(1.0, x) < 0
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b in IEEE doubles: a zero divisor gives a signed inf, or NaN for
+    0/0 and NaN/0, where Python would raise."""
+    if b != 0:
+        return a / b
+    if a == 0 or a != a:
+        return math.nan
+    return math.inf if _signbit(a) == _signbit(b) else -math.inf
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = _BRENT_MAXITER) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign, by Brent's
+    method (Brent 1973, *Algorithms for Minimization without Derivatives*,
+    ch. 4).  It follows SciPy's brentq.c statement by statement, so a root
+    keeps the bits of SciPy's ``optimize.brentq``; the argument checks, the
+    NaN check and the exception types and messages are those of SciPy
+    1.17.1.  C's zero divisions give inf or NaN, hence ``_divide``, and its
+    MIN macro takes the second operand on NaN, as the inline test does."""
+    maxiter = operator.index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xtol, rtol, xpre, xcur = float(xtol), float(rtol), float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if _signbit(fpre) == _signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = _divide(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # extrapolate
+                dpre = _divide(fpre - fcur, xpre - xcur)
+                dblk = _divide(fblk - fcur, xblk - xcur)
+                stry = _divide(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def m_critical(theta: ThetaLike) -> float:
     """Minimal root of Q_theta(m) = 0; the critical offspring mean.
 
     The walk starts at the proven lower bound m_c >= 1/(e*theta) (and
     m_c >= 1), where Q_theta is positive, and climbs in steps of theta/2,
     shorter than the ~5*theta spacing of the real roots near m_c, up to
-    the first point with Q_theta <= 0; brentq polishes the one root of
+    the first point with Q_theta <= 0; _brentq polishes the one root of
     that cell on the mp value scaled by 2^-mag(Q_theta(start)), so no
     value underflows the float range.  The walk gives up at
     1.03/(theta*(2-theta)), above the upper bound on m_c."""
@@ -126,9 +211,9 @@ def m_critical(theta: ThetaLike) -> float:
         lo = x
     if q_x == 0:
         return x
-    # the relative tolerance, scipy's floor of 4 eps, is the binding one
+    # the relative tolerance, _brentq's floor of 4 eps, is the binding one
     shift = -mpmath.mag(q_start)
-    return brentq(
+    return _brentq(
         lambda m: float(mpmath.ldexp(q(m), shift)), lo, x, xtol=1e-300, rtol=8.9e-16
     )
 
@@ -150,7 +235,7 @@ def theta_critical(m: float) -> float:
         raise ValueError(
             f"theta_c({m}) lies below the supported drift floor 1e-3"
         )
-    return brentq(lambda t: m_critical(t) - m, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    return _brentq(lambda t: m_critical(t) - m, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ exports.  Exit codes: 0 success, 2 parameter error, 3 resource guard.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -138,12 +139,23 @@ def _emit(doc: dict, args) -> None:
 
 
 def _write(payload: bytes, out) -> None:
-    """Write to ``out`` atomically (temp file, then rename), or to stdout."""
+    """Write to ``out`` atomically (temp file, then rename), or to stdout.
+    An ``out`` that cannot be written is a parameter error, and the temp
+    file never outlives a failure."""
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, out)
+        tmp, opened = out + ".tmp", False
+        try:
+            with open(tmp, "wb") as fh:
+                opened = True
+                fh.write(payload)
+            os.replace(tmp, out)
+        except BaseException as exc:
+            if opened:
+                with contextlib.suppress(OSError):
+                    os.remove(tmp)
+            if isinstance(exc, OSError):
+                raise ValueError(f"cannot write --out {out}: {exc}") from None
+            raise
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

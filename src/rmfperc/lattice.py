@@ -66,6 +66,10 @@ _BYTES_PER_REPLICA_SITE = 32
 # hash-stream tag of the replicas of crossing estimates and sweeps
 _CROSSING_TAG = 0x6C61
 
+# the least integer that float() rounds past the float range (to 2^1024);
+# an integer-q power sum from here on has no float distance
+_FLOAT_LIMIT = 2**1024 - 2**970
+
 
 @dataclass(frozen=True)
 class LatticeConfig:
@@ -267,6 +271,7 @@ class _Box:
         r, dim = config.box_radius, config.dimension
         shape = (2 * r + 1,) * dim
         _guard_bytes(math.prod(shape) * per_site, f"box with radius {r} in dimension {dim}")
+        _check_power_range(config.metric, r, dim)
         coords = np.indices(shape).reshape(dim, -1).T - r
         further = None
         if config.mode == "nb":
@@ -284,6 +289,20 @@ class _Box:
         for row, field in zip(u, fields):
             row[...] = field.uniform_grid([axis] * self.norms.ndim)
         return u
+
+
+def _check_power_range(metric: Metric, r: int, dim: int) -> None:
+    """Raise ValueError if the box's largest integer-q power sum, dim * r^q
+    at a corner, passes the float range, found from its log2 before any
+    power is taken; only within a bit of the limit is the sum computed."""
+    if not metric.is_integer:
+        return
+    bits = math.log2(dim) + metric.q * math.log2(r)
+    if bits > 1025 or (bits > 1023 and dim * r ** int(metric.q) >= _FLOAT_LIMIT):
+        raise ValueError(
+            f"q={metric.q:g} at radius {r} in dimension {dim}: the corner power sum "
+            f"{dim}*{r}^q passes the float range"
+        )
 
 
 def _edge_levels(box: _Box, u: np.ndarray, thetas: list) -> np.ndarray:

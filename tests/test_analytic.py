@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.optimize import brentq as scipy_brentq
 
+import rmfperc.analytic as analytic
 from rmfperc import (
     eigenfunction_eval,
     eigenfunction_integral,
@@ -456,3 +458,57 @@ def test_shifted_power_integral_identity():
             a + 1
         )
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+def _root_or_error(solver, f, a, b, **kwargs):
+    """The root's float.hex, or the exception's type and message."""
+    try:
+        return solver(f, a, b, **kwargs).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    shape=st.sampled_from(["poly", "tanh", "exp"]),
+    c=st.lists(st.floats(-4, 4), min_size=4, max_size=4),
+    a=st.floats(-4, 4),
+    b=st.floats(-4, 4),
+    tol=st.sampled_from([
+        (1e-300, 8.9e-16),  # m_critical
+        (1e-15, 8.9e-16),  # theta_critical
+        (2e-12, 4 * _EPS),  # the defaults
+        (1e-3, 1e-6), (5e-324, 1e-15), (1e-12, 0.5),
+        (0.0, 8.9e-16), (-1.0, 8.9e-16), (1e-12, 1e-16),  # refused
+    ]),
+    maxiter=st.one_of(st.just(100), st.integers(0, 6)),
+    end=st.one_of(st.none(), st.tuples(
+        st.booleans(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))),
+)
+def test_brentq_port_matches_scipy(shape, c, a, b, tol, maxiter, end):
+    # bit for bit: the same root, or the same exception type and message
+    def f(x):
+        if end is not None and x == (b if end[0] else a):
+            return end[1]
+        if shape == "poly":
+            return ((c[3] * x + c[2]) * x + c[1]) * x + c[0]
+        if shape == "tanh":
+            return math.tanh(c[0] * (x - c[1])) + 1e-3 * c[2]
+        return math.exp(c[0] * x) - abs(c[1]) - 0.1
+
+    xtol, rtol = tol
+    kwargs = dict(xtol=xtol, rtol=rtol, maxiter=maxiter)
+    assert _root_or_error(analytic._brentq, f, a, b, **kwargs) == _root_or_error(
+        scipy_brentq, f, a, b, **kwargs)
+
+
+def test_root_finders_keep_scipy_bits(monkeypatch):
+    thetas = np.geomspace(1e-3, 1.0, 40).tolist()
+    ms = [1.0000001, 1.01, 1.1, 1.5, 2.0, 3.0, 5.0, 7.5, 10.0, 20.0, 50.0, 100.0, 200.0,
+          300.0, 360.0]
+    port = [m_critical(t).hex() for t in thetas], [theta_critical(m).hex() for m in ms]
+    monkeypatch.setattr(analytic, "_brentq", scipy_brentq)
+    assert port == ([m_critical(t).hex() for t in thetas], [theta_critical(m).hex() for m in ms])

@@ -1,12 +1,16 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import rmfperc
+from rmfperc import theta_critical
 from rmfperc.cli import main, build_parser, DEFAULT_SEED, SEED_ENV_VAR
 
 
@@ -321,6 +325,11 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         # binomial coefficients past the float range, from 1030 trials on
         ["tree-sim", "--offspring", "binomial", "--trials", "2000", "--m", "2", "--theta", "0.3",
          "--replicas", "1", "--horizon", "1"],
+        # integer q whose corner power sum dim * r^q passes the float range
+        ["lattice-sim", "--q", "154", "--replicas", "1"],
+        ["lattice-sim", "--q", "1000", "--radius", "5"],
+        ["lattice-export", "--q", "500", "--radius", "5"],
+        ["lattice-sim", "--q", "1e308", "--radius", "5", "--replicas", "2"],
         # past the byte guard: a resource error, not a parameter error
         ["bricklayer", "--depth", "100000"],
     ],
@@ -328,6 +337,78 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
 def test_bad_sizes_exit_code(tmp_path, args):
     expected = 3 if args == ["bricklayer", "--depth", "100000"] else 2
     assert run_cli(args, tmp_path) == (expected, b"")
+
+
+@pytest.mark.parametrize("q", ["154", "1e308"])
+def test_power_range_refused_before_any_power(tmp_path, capsys, monkeypatch, q):
+    # the refusal comes from logs: no power key of the box is computed
+    from rmfperc.core import Metric
+
+    def no_powers(self, coords):
+        raise AssertionError("a power key was computed")
+
+    monkeypatch.setattr(Metric, "power_key_array", no_powers)
+    assert run_cli(["lattice-sim", "--q", q, "--replicas", "2"], tmp_path) == (2, b"")
+    err = capsys.readouterr().err
+    assert err.startswith(f"parameter error: q={float(q):g} at radius 100 in dimension 2")
+
+
+def test_power_range_limit_is_exact():
+    # dim * r^q is refused exactly where float() of it overflows
+    from rmfperc.core import Metric
+    from rmfperc.lattice import _check_power_range
+
+    for dim, r in [(1, 2), (2, 2), (3, 2), (2, 3), (2, 10), (3, 100), (4, 4096)]:
+        top = int((1024 - math.log2(dim)) / math.log2(r))
+        for q in range(top - 2, top + 3):
+            try:
+                float(dim * r**q)
+                fits = True
+            except OverflowError:
+                fits = False
+            try:
+                _check_power_range(Metric(float(q)), r, dim)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == fits, (dim, r, q)
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda tmp: tmp / "missing" / "x.json",  # no such directory
+    lambda tmp: tmp / "taken",  # an existing directory
+])
+@pytest.mark.parametrize("args", [
+    ["critical", "--theta", "0.75"],
+    ["lattice-export", "--radius", "5"],
+])
+def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, make_out, args):
+    (tmp_path / "taken").mkdir()
+    out = make_out(tmp_path)
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"parameter error: cannot write --out {out}: ")
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_cli_runs_without_scipy():
+    # scipy is a test dependency only: the CLI neither needs nor loads it
+    src = os.path.dirname(os.path.dirname(rmfperc.__file__))
+    path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    blocked = subprocess.run(
+        [sys.executable, "-c", 'import sys; sys.modules["scipy"] = None\n'
+         'from rmfperc.cli import main; sys.exit(main(["bounds", "--m", "2"]))'],
+        env=env, capture_output=True, text=True,
+    )
+    assert blocked.returncode == 0, blocked.stderr
+    assert json.loads(blocked.stdout)["exact"] == theta_critical(2.0)
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, rmfperc.cli\n"
+         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert loaded.stdout == "[]\n"
 
 
 def test_grid_at_the_point_limit_is_accepted():
@@ -424,10 +505,7 @@ def test_bad_seed_env_exit_code(tmp_path, monkeypatch, capsys):
 
 def test_float_serialization_round_trips(tmp_path):
     _, payload = run_cli(["bounds", "--m", "3"], tmp_path)
-    doc = json.loads(payload)
-    import rmfperc
-
-    assert doc["exact"] == rmfperc.theta_critical(3.0)
+    assert json.loads(payload)["exact"] == theta_critical(3.0)
 
 
 def test_partial_results_never_written(tmp_path):
