@@ -137,7 +137,6 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = _BRE
         return fx
 
     xtol, rtol, xpre, xcur = float(xtol), float(rtol), float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0:
         return xpre
@@ -146,6 +145,7 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = _BRE
     if _signbit(fpre) == _signbit(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(maxiter):
+        # true on the first pass, so xblk, fblk, spre and scur are always set
         if fpre != 0 and fcur != 0 and _signbit(fpre) != _signbit(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
