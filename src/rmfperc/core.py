@@ -84,10 +84,13 @@ def _guard_bytes(need: int, what: str) -> None:
 class Metric:
     """l^q norm parameter; q = math.inf selects the max norm.
 
-    Integer q keeps an exact-integer path for ||v||_q^q so that
-    "moves further from the origin" can be decided without rounding.
-    Non-integer q falls back to floating-point powers with relative error
-    below 1e-12 on integer sites; comparison ties break as not-further.
+    A distance is one float root of the power sum ||v||_q^q.  For integer
+    q the sum is an exact integer, rounded once to a float; for non-integer
+    q it is the correctly rounded ``math.fsum`` of the float powers, with
+    relative error below 1e-12 on integer sites.  Whether a lattice step
+    moves further from the origin needs no power sum: the step changes one
+    coordinate, so it does iff it raises that |coordinate| (for q = inf,
+    iff it raises max|coordinate|).
     """
 
     q: float
@@ -101,18 +104,20 @@ class Metric:
         return self.q != math.inf and float(self.q).is_integer()
 
     def power_key_array(self, coords: np.ndarray) -> np.ndarray:
-        """The exact comparison key ||v||_q^q of each site of an (N, dim)
-        integer array: int64 for q = inf (max|coord|) and integer q (Python
-        ints in an object array once the sums could pass int64), otherwise
-        the ``math.fsum`` of each site's Python float powers."""
+        """The power sum ||v||_q^q of each site of an (N, dim) integer
+        array: int64 for q = inf (max|coord|) and integer q (Python ints in
+        an object array once the sums could pass int64), otherwise the
+        ``math.fsum`` of each site's Python float powers."""
         a = np.abs(np.asarray(coords, dtype=np.int64))
         if a.shape[-1] == 0:
             raise ValueError(_EMPTY_SITE)
         if self.q == math.inf:
             return a.max(axis=-1)
         if self.is_integer:
-            p = int(self.q)
-            if a.shape[-1] * int(a.max(initial=0)) ** p >= 2**63:
+            p, top = int(self.q), int(a.max(initial=0))
+            if top <= 1:
+                return a.sum(axis=-1)  # 0^p = 0 and 1^p = 1, even for p >= 2^63
+            if a.shape[-1] * top**p >= 2**63:
                 a = a.astype(object)  # Python ints: exact past int64
             return (a**p).sum(axis=-1)
         keys = [math.fsum(c**self.q for c in site) for site in a.reshape(-1, a.shape[-1]).tolist()]
@@ -121,12 +126,20 @@ class Metric:
     def norm_array(self, coords: np.ndarray) -> np.ndarray:
         """The l^q distances of an (N, dim) integer array: each exact power
         sum from ``power_key_array`` as a float, to the power 1/q (the sum
-        itself for q = inf)."""
-        keys = self.power_key_array(coords)
-        if self.q == math.inf:
-            return keys.astype(np.float64)
-        roots = [float(s) ** (1.0 / self.q) for s in keys.ravel().tolist()]
-        return np.array(roots, dtype=np.float64).reshape(keys.shape)
+        itself for q = inf).  The sites go in blocks of 2^14, which bounds
+        the Python lists of sums and roots on a large array."""
+        coords = np.asarray(coords)
+        if coords.shape[-1] == 0:
+            raise ValueError(_EMPTY_SITE)
+        sites = coords.reshape(-1, coords.shape[-1])
+        norms = np.empty(len(sites))
+        for lo in range(0, len(sites), 2**14):
+            block = slice(lo, lo + 2**14)
+            keys = self.power_key_array(sites[block])
+            if self.q != math.inf:
+                keys = [float(s) ** (1.0 / self.q) for s in keys.tolist()]
+            norms[block] = keys
+        return norms.reshape(coords.shape[:-1])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 A site v is accessible when some lattice path from the origin reaches it
 with strictly increasing labels X = U + theta * ||.||_q.  In
 non-backtracking ("nb") mode each step must also move strictly further
-from the origin, decided on exact power keys ||v||_q^q.  One array engine,
+from the origin, decided from the coordinate it changes.  One array engine,
 ``_levels``, decides accessibility on the whole box for a sorted grid of
 drifts and a batch of replicas stacked along a leading axis; with one
 drift and one replica it is the plain closure.  Non-backtracking sets are
@@ -41,14 +41,17 @@ __all__ = [
 ]
 
 # bytes per box site for the memory guard: the engine holds the whole box
-# and one replica's arrays.  tracemalloc peaks per box site at q = 1 and 2,
-# dimensions 2-4 and 10^4 to 10^6 sites: 85-120 bytes while ``_Box.of``
-# builds the distances (157 at q = 1.5, 303 at q = 40); an "nb" box then
-# keeps about 50 in 2-D (67 in 3-D) with its int32 shell tables, and
-# ``crossing_probability`` with one replica peaks at 89-98 in 2-D (107 in
-# 3-D, r = 12), mode "all" at 65-94.  ``accessible_set`` adds Python dicts
-# of the reached sites and peaks at about 300 on a fully reached 2-D box,
-# so ``_accessible`` budgets 320 per box site.
+# and one replica's arrays.  tracemalloc peaks per box site at q = 1, 1.5,
+# 2, 40 and inf, dimensions 2-4 and 2*10^5 to 10^6 sites: ``_Box.of``
+# peaks at 56-60 bytes in 2-D, 66-70 in 3-D and 76-80 in 4-D in "nb" mode
+# (17-50 in mode "all"), as ``Metric.norm_array`` takes its power sums in
+# blocks of 2^14 sites; a box of 10^4 sites peaks higher, up to 236, on one
+# block's lists.  An "nb" box then keeps 33 in 2-D, 43 in 3-D and 53 in 4-D
+# with its int32 shell tables (9 in mode "all"), and ``crossing_probability``
+# with one replica peaks at 73, 83 and 93-102 (49-58 in mode "all").
+# ``accessible_set`` adds Python dicts of the reached sites and peaks at
+# about 300 on a fully reached 2-D box, so ``_accessible`` budgets 320 per
+# box site.
 _BYTES_PER_SITE = 128
 
 # replica batches of ``_crossings``: at most BATCH_BYTES of per-replica
@@ -65,10 +68,6 @@ _BYTES_PER_REPLICA_SITE = 32
 
 # hash-stream tag of the replicas of crossing estimates and sweeps
 _CROSSING_TAG = 0x6C61
-
-# the least integer that float() rounds past the float range (to 2^1024);
-# an integer-q power sum from here on has no float distance
-_FLOAT_LIMIT = 2**1024 - 2**970
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,9 @@ def accessible_set(config: LatticeConfig, theta: float,
     """Forward reachability closure from the origin at drift ``theta``.
 
     Edge u -> v exists iff u, v are lattice neighbours inside the box,
-    X_u < X_v, and in "nb" mode v is strictly further from the origin
-    under the exact distance comparison.
+    X_u < X_v, and in "nb" mode v is strictly further from the origin:
+    the step raises the |coordinate| it changes (max|coordinate| for
+    q = inf).
     """
     thetas = _checked_grid([theta])
     if field is None:
@@ -216,52 +216,27 @@ class _Box:
     """Geometry shared across label fields: the box's sites in C order,
     their distances, the crossing sites (||v||_q >= box_radius) and, in
     "nb" mode, per step direction the edges a path may take: those that
-    move strictly further from the origin under exact power keys.
-    ``further`` is None in mode "all", where a path may take every edge of
-    the box.  ``offset`` is the box radius, the origin's index along every
-    axis.
+    move strictly further from the origin.  A unit step changes one
+    coordinate, so for finite q it moves further iff it raises that
+    |coordinate|, and for q = inf iff it raises max|coordinate|; no power
+    sum is compared.  ``offset`` is the box radius, the origin's index
+    along every axis.  In mode "all", where a path may take every edge of
+    the box, ``further`` and the shell tables are None.
 
-    An "nb" box is graded by l1 shells: a unit step changes ||v||_1 by
-    one, and one that moves further raises it by one.  ``order`` lists the
-    sites' flat indices shell by shell, shell t at ``order[shells[t] :
-    shells[t + 1]]``, and ``into[d, j]`` is the flat index of the tail of
-    the allowed edge in direction d into site ``order[j]``, or of the site
-    itself where none enters.  Construction raises RuntimeError if an
-    allowed edge does not go from a shell t to shell t + 1.
+    An "nb" box is graded by l1 shells: every allowed step raises ||v||_1
+    by one.  ``order`` lists the sites' flat indices shell by shell, shell
+    t at ``order[shells[t] : shells[t + 1]]``, and ``into[d, j]`` is the
+    flat index of the tail of the allowed edge in direction d into site
+    ``order[j]``, or of the site itself where none enters.
     """
 
-    coords: np.ndarray
     offset: int
     norms: np.ndarray
-    further: Optional[tuple]
     crossing: np.ndarray
-    order: Optional[np.ndarray] = dc_field(init=False, default=None)
-    shells: Optional[list] = dc_field(init=False, default=None)
-    into: Optional[np.ndarray] = dc_field(init=False, default=None)
-
-    def __post_init__(self):
-        if self.further is None:
-            return
-        shape = self.norms.shape
-        # int32 indices: the memory guard keeps a box far below 2^31 sites
-        flat = np.arange(self.norms.size, dtype=np.int32).reshape(shape)
-        shell = np.abs(self.coords).sum(axis=1, dtype=np.int32).reshape(shape)
-        order = np.argsort(shell.ravel(), kind="stable").astype(np.int32)
-        into = np.empty((len(self.further), self.norms.size), dtype=np.int32)
-        for row, step, allowed in zip(into, _steps(len(shape)), self.further):
-            su, sv = _edge_views(shell, step)
-            if (allowed & (sv != su + 1)).any():
-                raise RuntimeError(
-                    f"an allowed edge along {step} does not go from a shell t of "
-                    "||v||_1 to shell t + 1"
-                )
-            tail = flat.copy()
-            _edge_views(tail, step)[1][allowed] = _edge_views(flat, step)[0][allowed]
-            np.take(tail.ravel(), order, out=row)
-        shells = np.searchsorted(shell.ravel()[order], np.arange(shell.max() + 2))
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "shells", shells.tolist())
-        object.__setattr__(self, "into", into)
+    further: Optional[tuple] = None
+    order: Optional[np.ndarray] = None
+    shells: Optional[list] = None
+    into: Optional[np.ndarray] = None
 
     @classmethod
     def of(cls, config: LatticeConfig, per_site: int = _BYTES_PER_SITE) -> "_Box":
@@ -272,14 +247,24 @@ class _Box:
         shape = (2 * r + 1,) * dim
         _guard_bytes(math.prod(shape) * per_site, f"box with radius {r} in dimension {dim}")
         _check_power_range(config.metric, r, dim)
-        coords = np.indices(shape).reshape(dim, -1).T - r
-        further = None
-        if config.mode == "nb":
-            keys = config.metric.power_key_array(coords).reshape(shape)
-            further = tuple(kv > ku for ku, kv in (_edge_views(keys, s) for s in _steps(dim)))
-            del keys
-        norms = config.metric.norm_array(coords).reshape(shape)
-        return cls(coords, r, norms, further, norms >= r)
+        a = np.abs(np.indices(shape, dtype=np.int32) - r)  # |coordinate|, axis first
+        norms = config.metric.norm_array(a.reshape(dim, -1).T).reshape(shape)
+        if config.mode == "all":
+            return cls(r, norms, norms >= r)
+        shell = a.sum(axis=0, dtype=np.int32)
+        key = shell if config.metric.q != math.inf else a.max(axis=0)
+        del a
+        further = tuple(kv > ku for ku, kv in (_edge_views(key, s) for s in _steps(dim)))
+        # int32 indices: the memory guard keeps a box far below 2^31 sites
+        flat = np.arange(norms.size, dtype=np.int32).reshape(shape)
+        order = np.argsort(shell.ravel(), kind="stable").astype(np.int32)
+        into = np.empty((len(further), norms.size), dtype=np.int32)
+        for row, step, allowed in zip(into, _steps(dim), further):
+            tail = flat.copy()
+            _edge_views(tail, step)[1][allowed] = _edge_views(flat, step)[0][allowed]
+            np.take(tail.ravel(), order, out=row)
+        shells = np.searchsorted(shell.ravel()[order], np.arange(shell.max() + 2))
+        return cls(r, norms, norms >= r, further, order, shells.tolist(), into)
 
     def uniforms(self, fields) -> np.ndarray:
         """The uniforms of each label field on the box, stacked along a
@@ -292,13 +277,22 @@ class _Box:
 
 
 def _check_power_range(metric: Metric, r: int, dim: int) -> None:
-    """Raise ValueError if the box's largest integer-q power sum, dim * r^q
-    at a corner, passes the float range, found from its log2 before any
-    power is taken; only within a bit of the limit is the sum computed."""
-    if not metric.is_integer:
+    """Raise ValueError if the box's largest power sum, dim * r^q at a
+    corner, passes the float range.  It is found from its log2 before any
+    power is taken; only within a bit of the limit is the sum computed, as
+    ``Metric.power_key_array`` computes it: exact for integer q, from float
+    powers otherwise."""
+    if metric.q == math.inf:
         return
     bits = math.log2(dim) + metric.q * math.log2(r)
-    if bits > 1025 or (bits > 1023 and dim * r ** int(metric.q) >= _FLOAT_LIMIT):
+    if bits <= 1023:
+        return
+    q = int(metric.q) if metric.is_integer else metric.q
+    try:
+        fits = bits <= 1025 and math.isfinite(dim * r**q)
+    except OverflowError:  # a float power past the range, or an int float() cannot take
+        fits = False
+    if not fits:
         raise ValueError(
             f"q={metric.q:g} at radius {r} in dimension {dim}: the corner power sum "
             f"{dim}*{r}^q passes the float range"
@@ -410,22 +404,21 @@ def _accessible(config: LatticeConfig, field: LabelField, thetas: list):
     for d, (step, level) in enumerate(zip(steps, edges)):
         open_ = _edge_views(reached, step)[0] & (_edge_views(level, step)[1] <= top)
         _edge_views(came_by, step)[1][open_] = d
-    moves = np.array(steps + [(0,) * config.dimension])
+    dim, width = config.dimension, 2 * box.offset + 1
+    moves = np.array(steps + [(0,) * dim]) @ width ** np.arange(dim - 1, -1, -1)  # flat offsets
     at = np.flatnonzero(reached)  # C order: sorted coordinates
-    coords = box.coords[at]
-    came_from = np.searchsorted(
-        at, np.ravel_multi_index((coords - moves[came_by.ravel()[at]] + box.offset).T, lvl.shape)
-    )
+    came_from = np.searchsorted(at, at - moves[came_by.ravel()[at]])
+    coords = [c - box.offset for c in np.unravel_index(at, lvl.shape)]
     x = u.ravel()[at] + thetas[-1] * box.norms.ravel()[at]
     levels = first.ravel()[at]
     frontier_reached = bool(box.crossing.ravel()[at].any())
     # the site dicts dominate the peak: release the box arrays first
     del box, u, first, lvl, edges, reached, came_by, at
 
-    sites = list(zip(*coords.T.tolist()))
+    sites = list(zip(*(c.tolist() for c in coords)))
     labels = dict(zip(sites, x.tolist()))
     predecessors = dict(zip(sites, map(sites.__getitem__, came_from)))
-    predecessors[(0,) * config.dimension] = None  # its zero move pointed at itself
+    predecessors[(0,) * dim] = None  # its zero move pointed at itself
     return AccessibleSet(config, labels, predecessors, frontier_reached, theta=thetas[-1]), levels
 
 

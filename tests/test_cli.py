@@ -330,6 +330,10 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["lattice-sim", "--q", "1000", "--radius", "5"],
         ["lattice-export", "--q", "500", "--radius", "5"],
         ["lattice-sim", "--q", "1e308", "--radius", "5", "--replicas", "2"],
+        # non-integer q: a float power, or the corner's sum of them, past the range
+        ["lattice-sim", "--q", "1100.5", "--radius", "2", "--replicas", "1"],
+        ["lattice-sim", "--q", "1023.5", "--radius", "2", "--replicas", "1"],
+        ["lattice-export", "--q", "700.5", "--radius", "3"],
         # past the byte guard: a resource error, not a parameter error
         ["bricklayer", "--depth", "100000"],
     ],
@@ -354,15 +358,19 @@ def test_power_range_refused_before_any_power(tmp_path, capsys, monkeypatch, q):
 
 
 def test_power_range_limit_is_exact():
-    # dim * r^q is refused exactly where float() of it overflows
+    # dim * r^q is refused exactly where float() of it overflows for integer
+    # q, and where the fsum of the corner's float powers does otherwise
     from rmfperc.core import Metric
     from rmfperc.lattice import _check_power_range
 
     for dim, r in [(1, 2), (2, 2), (3, 2), (2, 3), (2, 10), (3, 100), (4, 4096)]:
         top = int((1024 - math.log2(dim)) / math.log2(r))
-        for q in range(top - 2, top + 3):
+        for q in [top + k for k in range(-2, 3)] + [top + k / 8 for k in range(-16, 17, 3)]:
             try:
-                float(dim * r**q)
+                if float(q).is_integer():
+                    float(dim * r ** int(q))
+                else:
+                    math.fsum([float(r) ** q] * dim)
                 fits = True
             except OverflowError:
                 fits = False
@@ -372,6 +380,14 @@ def test_power_range_limit_is_exact():
             except ValueError:
                 accepted = False
             assert accepted == fits, (dim, r, q)
+
+
+def test_huge_integer_q_runs_on_the_radius_one_box(tmp_path):
+    # q >= 2^63: the radius-1 box's power sums hold powers of 0 and 1 only
+    code, payload = run_cli(["lattice-sim", "--q", "1e308", "--radius", "1", "--replicas", "1"],
+                            tmp_path)
+    assert code == 0
+    assert json.loads(payload)["q"] == 1e308
 
 
 @pytest.mark.parametrize("make_out", [

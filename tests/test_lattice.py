@@ -1,7 +1,8 @@
 import json
 import math
+import tracemalloc
 from collections import deque
-from dataclasses import replace
+import dataclasses
 
 import numpy as np
 import pytest
@@ -451,18 +452,87 @@ def test_nb_levels_reject_non_monotone_openness():
             _levels(box, box.uniforms(fields), [0.0, 1.0])
 
 
-@pytest.mark.parametrize("tail", [(-1, 0), (-2, 1), (-1, -3)])
-def test_box_rejects_edges_that_leave_the_shell_order(tail):
-    # unit steps change ||v||_1 by one: an allowed edge toward the origin
-    # breaks the order the shell pass relies on
-    box = _Box.of(nb_config(box_radius=3))
-    head = tuple(c + s for c, s in zip(tail, (1, 0)))
-    assert sum(map(abs, head)) == sum(map(abs, tail)) - 1
-    further = [f.copy() for f in box.further]
-    further[lattice._steps(2).index((1, 0))][tuple(c + box.offset for c in tail)] = True
-    with pytest.raises(RuntimeError, match="shell"):
-        replace(box, further=tuple(further))
-    assert replace(box, further=box.further).shells == box.shells
+def exact_power_sums(q, coords):
+    """||v||_q^q of each site of ``coords`` from the definition: Python ints
+    for integer q, max|coord| for q = inf, 60-digit mpmath values
+    otherwise."""
+    import mpmath
+
+    if q == math.inf:
+        return [max(map(abs, site)) for site in coords]
+    if float(q).is_integer():
+        return [sum(abs(c) ** int(q) for c in site) for site in coords]
+    with mpmath.workdps(60):
+        powers = {}
+        for site in coords:
+            for c in site:
+                if abs(c) not in powers:
+                    powers[abs(c)] = mpmath.mpf(abs(c)) ** q
+        return [mpmath.fsum(powers[abs(c)] for c in site) for site in coords]
+
+
+@pytest.mark.parametrize("dim, r", [(2, 50), (3, 8)])
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 10.5, 40, math.inf])
+def test_nb_steps_raise_exact_power_sums_one_shell_out(q, dim, r):
+    # the allowed steps are those that raise ||v||_q^q in exact arithmetic
+    # (at q = 10.5, r = 50 the float sums of some neighbours far out tie),
+    # and each goes from an l1 shell t to t + 1, as the shell tables say
+    box = _Box.of(nb_config(dimension=dim, metric=Metric(q), box_radius=r))
+    shape = box.norms.shape
+    coords = np.indices(shape).reshape(dim, -1).T - r
+    keys = np.empty(len(coords), dtype=object)
+    keys[:] = exact_power_sums(q, coords.tolist())
+    keys = keys.reshape(shape)
+    shell = np.abs(coords).sum(axis=1)
+    for step, allowed in zip(lattice._steps(dim), box.further):
+        ku, kv = lattice._edge_views(keys, step)
+        assert np.array_equal(allowed, (kv > ku).astype(bool))
+        su, sv = lattice._edge_views(shell.reshape(shape), step)
+        assert (sv[allowed] == su[allowed] + 1).all()
+
+    assert sorted(box.order.tolist()) == list(range(len(coords)))
+    for t, (a, b) in enumerate(zip(box.shells, box.shells[1:])):
+        assert (shell[box.order[a:b]] == t).all()
+    assert box.shells[-1] == len(coords)
+    for tails, step, allowed in zip(box.into, lattice._steps(dim), box.further):
+        entered = tails != box.order
+        assert np.count_nonzero(entered) == np.count_nonzero(allowed)
+        heads = box.order[entered]
+        assert (shell[tails[entered]] == shell[heads] - 1).all()
+        assert (coords[heads] - coords[tails[entered]] == step).all()
+
+
+@pytest.mark.parametrize("mode", ["nb", "all"])
+@pytest.mark.parametrize("q", [1, 1.5, 40, math.inf])
+def test_box_takes_one_power_sum_per_site(monkeypatch, q, mode):
+    # the distances take each site's power sum once; "nb" steps take none
+    sizes = []
+    power_key_array = Metric.power_key_array
+
+    def counting(self, coords):
+        sizes.append(len(coords))
+        return power_key_array(self, coords)
+
+    monkeypatch.setattr(Metric, "power_key_array", counting)
+    box = _Box.of(nb_config(metric=Metric(q), mode=mode, box_radius=100))
+    assert sum(sizes) == box.norms.size
+    assert "coords" not in {f.name for f in dataclasses.fields(_Box)}
+    assert "__post_init__" not in vars(_Box)
+
+
+@pytest.mark.parametrize("mode", ["nb", "all"])
+@pytest.mark.parametrize("q", [1, 1.5, 2, 3, 40, math.inf])
+def test_box_build_stays_under_its_byte_guard(q, mode):
+    # tracemalloc peak of building a 2-D box of radius 150, per site, against
+    # the guard's bytes per box site; the power sums go in bounded blocks
+    cfg = nb_config(metric=Metric(q), mode=mode, box_radius=150)
+    tracemalloc.start()
+    try:
+        box = _Box.of(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / box.norms.size <= lattice._BYTES_PER_SITE
 
 
 def crossing_results(cfg, grid, replicas):
