@@ -285,11 +285,9 @@ def _check_power_range(metric: Metric, r: int, dim: int) -> None:
     if metric.q == math.inf:
         return
     bits = math.log2(dim) + metric.q * math.log2(r)
-    if bits <= 1023:
-        return
     q = int(metric.q) if metric.is_integer else metric.q
     try:
-        fits = bits <= 1025 and math.isfinite(dim * r**q)
+        fits = bits <= 1023 or (bits <= 1025 and math.isfinite(dim * r**q))
     except OverflowError:  # a float power past the range, or an int float() cannot take
         fits = False
     if not fits:

@@ -330,12 +330,12 @@ def test_deterministic_offspring_rejects_non_integer_mean(tmp_path):
         ["lattice-sim", "--q", "1000", "--radius", "5"],
         ["lattice-export", "--q", "500", "--radius", "5"],
         ["lattice-sim", "--q", "1e308", "--radius", "5", "--replicas", "2"],
+        # past the byte guard: a resource error, not a parameter error
+        ["bricklayer", "--depth", "100000"],
         # non-integer q: a float power, or the corner's sum of them, past the range
         ["lattice-sim", "--q", "1100.5", "--radius", "2", "--replicas", "1"],
         ["lattice-sim", "--q", "1023.5", "--radius", "2", "--replicas", "1"],
         ["lattice-export", "--q", "700.5", "--radius", "3"],
-        # past the byte guard: a resource error, not a parameter error
-        ["bricklayer", "--depth", "100000"],
     ],
 )
 def test_bad_sizes_exit_code(tmp_path, args):

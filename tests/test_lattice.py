@@ -1,8 +1,8 @@
+import dataclasses
 import json
 import math
 import tracemalloc
 from collections import deque
-import dataclasses
 
 import numpy as np
 import pytest
@@ -462,12 +462,9 @@ def exact_power_sums(q, coords):
         return [max(map(abs, site)) for site in coords]
     if float(q).is_integer():
         return [sum(abs(c) ** int(q) for c in site) for site in coords]
+    top = max(abs(c) for site in coords for c in site)
     with mpmath.workdps(60):
-        powers = {}
-        for site in coords:
-            for c in site:
-                if abs(c) not in powers:
-                    powers[abs(c)] = mpmath.mpf(abs(c)) ** q
+        powers = [mpmath.mpf(c) ** q for c in range(top + 1)]
         return [mpmath.fsum(powers[abs(c)] for c in site) for site in coords]
 
 
