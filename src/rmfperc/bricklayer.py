@@ -37,12 +37,15 @@ __all__ = [
 ]
 
 _A_SCAN_MAX = 10**6
+# points per block of the A_q(n) scan: its arrays stay near 128 kB each
+_A_BLOCK = 2**14
 # bytes of uniforms per slab of the goodness pass: small enough to stay in cache
 _SLAB_BYTES = 440_000
 # tracemalloc peaks of one replica of ``simulate_bricklayer``, for the memory
 # guard (q = 2 and inf, n = 16 to 256, depths 25 to 400): about 76 bytes per
-# cell of its (depth+1) x (2*depth+1) brick grids, and up to about four
-# copies of the uniforms of one slab while the goodness pass hashes it
+# cell of its (depth+1) x (2*depth+1) brick grids, and 2.6 to 3.9 slabs of
+# uniforms more: the goodness pass's key, scratch and uniform buffers, and
+# the temporaries of its predicates
 _BYTES_PER_GRID_CELL = 80
 _SLAB_COPIES = 5
 
@@ -142,7 +145,8 @@ def compute_A(config: BrickConfig) -> int:
         (1 + q/a)^(1/q) >= 1 + (1 - 5^q/n^q)/a
 
     holds for every a in [a0, _A_SCAN_MAX].  The window is verified rather
-    than assuming the inequality is monotone in a.
+    than assuming the inequality is monotone in a.  It is scanned in blocks
+    of ``_A_BLOCK`` points, so that no array spans the whole window.
     """
     if config.q == math.inf:
         raise ValueError("the distance threshold applies to finite q only")
@@ -150,14 +154,19 @@ def compute_A(config: BrickConfig) -> int:
         raise ValueError(f"need n > 5, got {config.n}")
     q = config.q
     eps = config.slack
-    a = np.arange(1, _A_SCAN_MAX + 1, dtype=np.float64)
-    # expm1/log1p keep precision when both sides are within 1e-6 of 1
-    lhs = np.expm1(np.log1p(q / a) / q)
-    holds = lhs >= (1.0 - eps) / a
-    failures = np.nonzero(~holds)[0]
-    if len(failures) == len(a):
+    last_failure = 0  # the largest a where the inequality fails, 0 if none
+    holds_somewhere = False
+    for lo in range(1, _A_SCAN_MAX + 1, _A_BLOCK):
+        a = np.arange(lo, min(lo + _A_BLOCK, _A_SCAN_MAX + 1), dtype=np.float64)
+        # expm1/log1p keep precision when both sides are within 1e-6 of 1
+        lhs = np.expm1(np.log1p(q / a) / q)
+        failures = np.flatnonzero(~(lhs >= (1.0 - eps) / a))
+        if len(failures):
+            last_failure = lo + int(failures[-1])
+        holds_somewhere = holds_somewhere or len(failures) < len(a)
+    if not holds_somewhere:
         raise RuntimeError(f"inequality never holds for a <= {_A_SCAN_MAX}")
-    a0 = int(failures[-1]) + 2 if len(failures) else 1
+    a0 = last_failure + 1
     if a0 > _A_SCAN_MAX:
         raise RuntimeError(f"no threshold found within scan window {_A_SCAN_MAX}")
     return a0
@@ -339,9 +348,9 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     is hashed again as the next slab's bottom row), and from column y0*n/2
     on, where level y0's first brick starts.  A slab holds at most
     ``_SLAB_BYTES`` of uniforms, so that it stays in cache, or one level
-    if that is larger.  Per slab the window and vertical-order predicates
-    are evaluated once and reduced over the blocks; the bricks then gather
-    their blocks.
+    if that is larger; every slab is hashed into the same buffers.  Per
+    slab the window and vertical-order predicates are evaluated once and
+    reduced over the blocks; the bricks then gather their blocks.
     """
     n = config.n
     w = config.window_margin
@@ -354,10 +363,15 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     lfirst = np.zeros((ny, nb), dtype=np.int64)  # [y, b]: offset of the first one
     rfirst = np.zeros((ny, nb), dtype=np.int64)
     levels = max(1, _SLAB_BYTES // (2 * 8 * nb * half))
+    # keys, scratch and uniforms of the first slab, the largest, reused by
+    # every slab: a fresh slab-sized array each time would be mapped and
+    # unmapped, or grow and trim the heap, slab after slab
+    size = (2 * min(levels, ny) + 1) * nb * half
+    out = (np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64), np.empty(size))
     for y0 in range(0, ny, levels):
         y1 = min(y0 + levels, ny)
-        # [row, column], the column axis contiguous
-        u = field.uniform_grid([np.arange(y0 * half, nb * half), np.arange(2 * y0, 2 * y1 + 1)]).T
+        axes = [np.arange(y0 * half, nb * half), np.arange(2 * y0, 2 * y1 + 1)]
+        u = field.uniform_grid(axes, out=out).T  # [row, column], the column axis contiguous
         src, dst = u[:-1], u[1:]
         win = ((src > w) & (src < 1.0 - w)).reshape(len(src), -1, half).all(axis=-1)
         hor[y0:y1, y0:] = win[0::2] & win[1::2]

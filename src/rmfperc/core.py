@@ -22,37 +22,59 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-# The hash works on arrays of 64-bit words, in place on its own temporaries.
-# ``tests/oracles.py`` holds a scalar splitmix64 written independently, one
-# Python int at a time, that every key and uniform is held to bit for bit.
+# The hash works on arrays of 64-bit words, in place: each call makes one
+# scratch array and overwrites the words it was given, so a caller passes
+# only words it owns.  ``tests/oracles.py`` holds a scalar splitmix64
+# written independently, one Python int at a time, that every key and
+# uniform is held to bit for bit.
 
 
-def _mix_np(z: np.ndarray) -> np.ndarray:
-    t = z >> np.uint64(30)
-    t ^= z
-    t *= np.uint64(_MIX1)
-    z = t >> np.uint64(27)
+def _mix_np(z: np.ndarray, scratch=None) -> np.ndarray:
+    """splitmix64's finaliser of the words ``z``, an array the caller owns,
+    computed in ``z`` and returned.  ``scratch``, an array of z's shape, is
+    the one temporary; it is allocated unless given."""
+    if scratch is None:
+        scratch = np.empty(z.shape, dtype=np.uint64)  # an array even for 0-d z
+    t = np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= t
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, np.uint64(27), out=t)
     z ^= t
     z *= np.uint64(_MIX2)
-    t = z >> np.uint64(31)
-    t ^= z
-    return t
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
-def _combine_np(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+def _combine_np(key, value, out=None, scratch=None) -> np.ndarray:
+    """The keys ``key`` with the integers ``value`` folded in, broadcast:
+    mix(key ^ value*G ^ G).  ``key`` and ``value`` are read only; ``out``
+    and ``scratch``, arrays of the broadcast shape, hold the result and
+    ``_mix_np``'s temporary, and are allocated unless given."""
     # the unsafe cast wraps signed values as astype(np.uint64) does
-    v = np.multiply(value, np.uint64(_GOLDEN), dtype=np.uint64, casting="unsafe")
-    z = key ^ v
-    z ^= np.uint64(_GOLDEN)
-    return _mix_np(z)
+    v = np.multiply(value, np.uint64(_GOLDEN), dtype=np.uint64, casting="unsafe",
+                    out=np.empty(np.shape(value), dtype=np.uint64))
+    if v.size <= np.size(key):  # ^ G on the smaller operand
+        v ^= np.uint64(_GOLDEN)
+    else:
+        key = key ^ np.uint64(_GOLDEN)
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(key), v.shape)
+        out = v if v.shape == shape else np.empty(shape, dtype=np.uint64)
+    return _mix_np(np.bitwise_xor(key, v, out=out), scratch)
 
 
-def _u01_np(key: np.ndarray) -> np.ndarray:
+def _u01_np(key: np.ndarray, out=None) -> np.ndarray:
+    """The uniforms of the keys ``key`` (read only), written into ``out``,
+    a float64 array of key's shape allocated unless given."""
     # 53 high bits, offset by half a step: values lie in (0, 1], from 2^-54
     # up.  From key 2^63 on the half step is a float tie and rounds to even,
     # so the largest value below 1 is 1 - 2^-52, and every key of 2^64 - 2^11
-    # or more gives exactly 1.0
-    u = (key >> np.uint64(11)).astype(np.float64)
+    # or more gives exactly 1.0.  The shifted words are cast to float64 as
+    # they are written, as astype(np.float64) casts them
+    if out is None:
+        out = np.empty(np.shape(key))
+    u = np.right_shift(key, np.uint64(11), out=out, casting="unsafe")
     u += 0.5
     u *= 2.0**-53
     return u
@@ -168,7 +190,8 @@ class LabelField:
         for lo in range(0, len(ids), _REPLICA_BLOCK):
             block = np.asarray(ids[lo : lo + _REPLICA_BLOCK], dtype=np.int64)
             keys = self.key_array(np.column_stack(np.broadcast_arrays(tag, block)))
-            for key, root in zip(keys.tolist(), _mix_np(keys).tolist()):
+            seeds = keys.tolist()  # read before _mix_np overwrites the keys
+            for key, root in zip(seeds, _mix_np(keys).tolist()):
                 field = object.__new__(LabelField)
                 object.__setattr__(field, "seed", key)
                 object.__setattr__(field, "_root", root)
@@ -190,18 +213,28 @@ class LabelField:
     def uniform_array(self, coords: np.ndarray) -> np.ndarray:
         return _u01_np(self.key_array(coords))
 
-    def uniform_grid(self, axes) -> np.ndarray:
+    def uniform_grid(self, axes, out=None) -> np.ndarray:
         """Uniforms of the Cartesian product of the integer ``axes``,
         ij-indexed: entry [i0, i1, ...] is ``uniform_array`` of the site
         (axes[0][i0], axes[1][i1], ...), bit for bit, since the keys fold
         the coordinates in the same order.  Each prefix of coordinates is
         folded once, not once per site.  The result is in Fortran order:
-        the first axis varies fastest in memory."""
+        the first axis varies fastest in memory.
+
+        ``out`` is None or three flat buffers of at least the grid's size,
+        (keys, scratch) of uint64 and uniforms of float64: the last fold
+        and the uniforms are written into them, and the result is a view
+        of the third.  A caller that hashes grid after grid passes the
+        same buffers each time, and no grid-sized array is allocated."""
         key = np.full((), self._root, dtype=np.uint64)
-        for axis in axes:
+        keys = scratch = uniforms = None
+        for i, axis in enumerate(axes):
             axis = np.asarray(axis).reshape((-1,) + (1,) * key.ndim)
-            key = _combine_np(key, axis)  # the new axis goes outermost
-        return _u01_np(key).T
+            if out is not None and i == len(axes) - 1:
+                shape = axis.shape[:1] + key.shape
+                keys, scratch, uniforms = (b[: math.prod(shape)].reshape(shape) for b in out)
+            key = _combine_np(key, axis, keys, scratch)  # the new axis goes outermost
+        return _u01_np(key, uniforms).T
 
     def uniform_from_key_array(self, keys: np.ndarray) -> np.ndarray:
         return _u01_np(keys)

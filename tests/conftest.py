@@ -29,5 +29,5 @@ class FixedField:
         coords = np.asarray(coords)
         return np.array([self.uniform_at(tuple(int(c) for c in row)) for row in coords])
 
-    def uniform_grid(self, axes):
+    def uniform_grid(self, axes, out=None):  # the buffers ``out`` go unused
         return grid_from_array(self.uniform_array, axes)

@@ -30,7 +30,9 @@ bricklayer coupling in the paper's (x, y) coordinates, one brick and one
 edge at a time through ``uniform_at``; the brick masks, the
 array goodness grid and the witness-path verification of
 ``rmfperc.bricklayer``, which work on (k, y) grid indices, are compared
-against them.
+against them.  ``compute_A_oracle`` finds the distance threshold A_q(n)
+from whole-window arrays over every a of the scan at once, as
+``compute_A`` did before it scanned in blocks.
 """
 
 import math
@@ -352,6 +354,28 @@ def eigenfunction_oracle(m: float, theta: float, lam: float, u):
         out[mask] += coeff * (uu[mask] - i * theta) ** i
         coeff *= ratio / (i + 1)
     return float(out[0]) if scalar else out
+
+
+def compute_A_oracle(config: BrickConfig, scan_max: int = 10**6) -> int:
+    """A_q(n): one more than the last a in [1, ``scan_max``] where
+    (1 + q/a)^(1/q) >= 1 + (1 - eps)/a fails, with eps = (5/n)^q, from
+    float64 arrays over the whole window; ``compute_A``'s exceptions, with
+    their messages, for q = inf, n <= 5, a window where it never holds, or
+    one whose last point fails."""
+    if config.q == math.inf:
+        raise ValueError("the distance threshold applies to finite q only")
+    if config.n <= 5:
+        raise ValueError(f"need n > 5, got {config.n}")
+    q, eps = config.q, (5.0 / config.n) ** config.q
+    a = np.arange(1, scan_max + 1, dtype=np.float64)
+    holds = np.expm1(np.log1p(q / a) / q) >= (1.0 - eps) / a
+    failures = np.nonzero(~holds)[0]
+    if len(failures) == len(a):
+        raise RuntimeError(f"inequality never holds for a <= {scan_max}")
+    a0 = int(failures[-1]) + 2 if len(failures) else 1
+    if a0 > scan_max:
+        raise RuntimeError(f"no threshold found within scan window {scan_max}")
+    return a0
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,8 @@ from rmfperc import bricklayer, core
 from rmfperc.bricklayer import _brick_sites, _bricks_up_to
 from conftest import FixedField, grid_from_array
 from oracles import (
-    BrickId, brick_build, brick_good, brick_ids_up_to, edge_open, key_of, norm, uniform_at,
+    BrickId, brick_build, brick_good, brick_ids_up_to, compute_A_oracle, edge_open, key_of, norm,
+    uniform_at,
 )
 
 
@@ -283,6 +285,51 @@ def test_compute_A_rejects_invalid():
         compute_A(BrickConfig(4, 2.0))
 
 
+def outcome(f, *args):
+    """What ``f(*args)`` gives: its value, or its exception's type and message."""
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 5.0])
+def test_compute_A_equals_whole_window_oracle(q):
+    for n in (8, 16, 32, 64, 96, 128, 160, 256):
+        cfg = BrickConfig(n, q)
+        assert outcome(compute_A, cfg) == outcome(compute_A_oracle, cfg)
+    # thresholds high in the window, and one beyond it
+    if q == 4.0:
+        assert compute_A(BrickConfig(128, q)) == 644243
+        never = (RuntimeError, "inequality never holds for a <= 1000000")
+        assert outcome(compute_A, BrickConfig(160, q)) == never
+    if q == 5.0:
+        assert compute_A(BrickConfig(64, q)) == 687192
+
+
+@pytest.mark.parametrize("block", [1, 7, 80, 81, 1000, 4096])
+def test_compute_A_block_edges(monkeypatch, block):
+    # a window of 1000 points in blocks that end just before, at and past
+    # the last failure of A_2(64) = 81, or hold the whole window; A_2(256)
+    # = 1310 lies past it
+    monkeypatch.setattr(bricklayer, "_A_SCAN_MAX", 1000)
+    monkeypatch.setattr(bricklayer, "_A_BLOCK", block)
+    for n, q in [(64, 2.0), (256, 2.0), (8, 1.5), (16, 5.0), (10, math.inf), (5, 2.0)]:
+        cfg = BrickConfig(n, q)
+        assert outcome(compute_A, cfg) == outcome(compute_A_oracle, cfg, 1000)
+
+
+def test_compute_A_memory_is_bounded():
+    # blocks of 2^14 points: the whole-window scan peaked at about 25 MB
+    tracemalloc.start()
+    try:
+        assert compute_A(BrickConfig(128, 4.0)) == 644243
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
+
+
 def test_distance_gap_axis_and_sample_values():
     m2 = BrickConfig(10, 2.0)
     # on-axis step increases the distance by exactly 1
@@ -494,7 +541,7 @@ def test_simulate_forced_good_field(monkeypatch):
             coords = np.asarray(coords)
             return 0.05 + 0.9 * (coords[..., 1] + 0.5) / bmax
 
-        def uniform_grid(self, axes):
+        def uniform_grid(self, axes, out=None):
             return grid_from_array(self.uniform_array, axes)
 
     monkeypatch.setattr(bricklayer, "LabelField", MonotoneRows)

@@ -470,6 +470,19 @@ def test_oversized_brick_range_exit_code(tmp_path):
     assert peak < 1e6
 
 
+def test_bricklayer_check_memory_is_bounded(tmp_path):
+    # the A_q(n) scan runs in blocks: whole-window arrays peaked at about 25 MB
+    args = ["bricklayer-check", "--q", "2", "--n-brick", "64", "--theta", "0.9995", "--samples", "20"]
+    tracemalloc.start()
+    try:
+        code, _ = run_cli(args, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4e6
+
+
 @pytest.mark.parametrize(
     "args",
     [

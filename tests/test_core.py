@@ -8,7 +8,7 @@ from rmfperc import LabelField, Metric
 from conftest import grid_from_array
 from rmfperc.core import _u01_np
 from rmfperc.tree import _BatchState
-from oracles import key_of, norm, power_key, uniform_at, uniform_from_key
+from oracles import combine, key_of, mix, norm, power_key, uniform_at, uniform_from_key
 
 
 def test_lp_distance_examples():
@@ -210,6 +210,64 @@ def test_keys_and_uniforms_equal_the_scalar_oracle(seed, sites):
     coords = np.array(sites, dtype=np.int64)
     assert field.key_array(coords).tolist() == [key_of(field, s) for s in sites]
     assert field.uniform_array(coords).tolist() == [uniform_at(field, s) for s in sites]
+
+
+_COORDS = st.integers(-(2**63), 2**63 - 1)
+_WORDS = st.integers(0, 2**64 - 1)
+
+
+@given(seed=st.integers(-(2**70), 2**70), dim=st.integers(1, 3), data=st.data())
+def test_hash_leaves_its_inputs_and_equals_the_scalar_oracle(seed, dim, data):
+    # the array hash works in place on its own temporaries: every input,
+    # single sites and 0-d keys included, reads the same afterwards, and
+    # every result equals the oracle splitmix64 bit for bit
+    field = LabelField(seed)
+    sites = data.draw(st.lists(st.lists(_COORDS, min_size=dim, max_size=dim), min_size=1, max_size=5))
+    words = data.draw(st.lists(_WORDS, min_size=1, max_size=5))
+    value = data.draw(_WORDS)
+    coords = np.array(sites, dtype=np.int64)
+    keys = np.array(words, dtype=np.uint64)
+    values = np.array(data.draw(st.lists(_WORDS, min_size=len(words), max_size=len(words))),
+                      dtype=np.uint64)
+    inputs = [coords, keys, values]
+    before = [a.copy() for a in inputs]
+
+    assert field.key_array(coords).tolist() == [key_of(field, s) for s in sites]
+    assert field.uniform_array(coords).tolist() == [uniform_at(field, s) for s in sites]
+    single = field.key_array(coords[0])  # a site of shape (dim,): 0-d keys
+    assert single.shape == () and single.tolist() == key_of(field, sites[0])
+    assert field.uniform_array(coords[0]).tolist() == uniform_at(field, sites[0])
+    derived = field.derive_key_array(keys, values).tolist()
+    assert derived == [combine(k, v) for k, v in zip(words, values.tolist())]
+    assert field.derive_key_array(keys, value).tolist() == [combine(k, value) for k in words]
+    assert field.derive_key_array(keys[0], value).tolist() == combine(words[0], value)
+    assert field.uniform_from_key_array(keys).tolist() == [uniform_from_key(k) for k in words]
+    assert field.uniform_from_key_array(keys[0]).tolist() == uniform_from_key(words[0])
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+
+    axes = [np.array(a, dtype=np.int64) for a in data.draw(
+        st.lists(st.lists(_COORDS, min_size=1, max_size=4), min_size=1, max_size=3))]
+    before = [a.copy() for a in axes]
+    expected = np.empty([len(a) for a in axes])
+    for idx in np.ndindex(expected.shape):
+        expected[idx] = uniform_at(field, tuple(int(a[i]) for a, i in zip(axes, idx)))
+    size = expected.size + data.draw(st.integers(0, 3))  # buffers may be larger
+    out = (np.full(size, 7, dtype=np.uint64), np.full(size, 9, dtype=np.uint64), np.full(size, 0.25))
+    for buffers in (None, out, out):  # the second pass reuses filled buffers
+        grid = field.uniform_grid(axes, out=buffers)
+        assert np.array_equal(grid, expected)
+        if buffers is not None:
+            assert np.shares_memory(grid, out[2])
+    for a, b in zip(axes, before):
+        assert np.array_equal(a, b)
+
+    ids = np.array(data.draw(st.lists(st.integers(0, 2**40), max_size=4)), dtype=np.int64)
+    before = ids.copy()
+    fields = list(field.replicas(3, ids))
+    assert np.array_equal(ids, before)
+    assert [f.seed for f in fields] == [key_of(field, (3, i)) for i in ids.tolist()]
+    assert [f._root for f in fields] == [mix(f.seed) for f in fields]
 
 
 @pytest.mark.parametrize("tag", [0x6C61, 0x626C, 0x6272, 0x67])

@@ -57,7 +57,7 @@ class TransformedField:
     def uniform_array(self, coords):
         return self.base.uniform_array(self.transform(np.asarray(coords)))
 
-    def uniform_grid(self, axes):
+    def uniform_grid(self, axes, out=None):
         return grid_from_array(self.uniform_array, axes)
 
 
