@@ -43,9 +43,9 @@ _A_BLOCK = 2**14
 _SLAB_BYTES = 440_000
 # tracemalloc peaks of one replica of ``simulate_bricklayer``, for the memory
 # guard (q = 2 and inf, n = 16 to 256, depths 25 to 400): about 76 bytes per
-# cell of its (depth+1) x (2*depth+1) brick grids, and 2.6 to 3.9 slabs of
-# uniforms more: the goodness pass's key, scratch and uniform buffers, and
-# the temporaries of its predicates
+# cell of its (depth+1) x (2*depth+1) brick grids, and 2.6 to 4.7 slabs of
+# uniforms more: the goodness pass's key, scratch and uniform buffers, held
+# for the whole run, and the temporaries of the pass and of the witness
 _BYTES_PER_GRID_CELL = 80
 _SLAB_COPIES = 5
 
@@ -332,7 +332,25 @@ def _guard_depth(config: BrickConfig, depth: int) -> None:
     _guard_bytes(need, f"a bricklayer replica of depth {depth} with n={config.n}")
 
 
-def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
+def _slab_levels(config: BrickConfig, depth: int) -> int:
+    """Brick levels per slab of the goodness pass: at most ``_SLAB_BYTES``
+    of uniforms, (depth+1)*n per lattice row and two rows per level, or
+    one level if that is larger."""
+    return max(1, _SLAB_BYTES // (2 * 8 * (depth + 1) * config.n))
+
+
+def _slab_buffers(config: BrickConfig, depth: int):
+    """Key, scratch and uniform buffers (``LabelField.uniform_grid``'s
+    ``out``) that hold every slab of the goodness pass at ``depth``: sized
+    for the first slab, the largest.  A fresh slab-sized array per slab, or
+    per replica, made glibc map and unmap it, or grow and trim the heap,
+    again and again."""
+    levels = min(_slab_levels(config, depth), 2 * depth + 1)
+    size = (2 * levels + 1) * (depth + 1) * config.n
+    return np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64), np.empty(size)
+
+
+def _goodness_grid(field: LabelField, config: BrickConfig, depth: int, out=None):
     """Goodness of all bricks with x <= depth on the (k, y) grid: rows y in
     [0, 2*depth], columns k in [0, depth].
 
@@ -348,9 +366,10 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     is hashed again as the next slab's bottom row), and from column y0*n/2
     on, where level y0's first brick starts.  A slab holds at most
     ``_SLAB_BYTES`` of uniforms, so that it stays in cache, or one level
-    if that is larger; every slab is hashed into the same buffers.  Per
-    slab the window and vertical-order predicates are evaluated once and
-    reduced over the blocks; the bricks then gather their blocks.
+    if that is larger.  Every slab is hashed into the buffers ``out``, from
+    ``_slab_buffers`` (allocated here unless given).  Per slab the window
+    and vertical-order predicates are evaluated once and reduced over the
+    blocks; the bricks then gather their blocks.
     """
     n = config.n
     w = config.window_margin
@@ -362,12 +381,9 @@ def _goodness_grid(field: LabelField, config: BrickConfig, depth: int):
     rany = np.zeros((ny, nb), dtype=bool)
     lfirst = np.zeros((ny, nb), dtype=np.int64)  # [y, b]: offset of the first one
     rfirst = np.zeros((ny, nb), dtype=np.int64)
-    levels = max(1, _SLAB_BYTES // (2 * 8 * nb * half))
-    # keys, scratch and uniforms of the first slab, the largest, reused by
-    # every slab: a fresh slab-sized array each time would be mapped and
-    # unmapped, or grow and trim the heap, slab after slab
-    size = (2 * min(levels, ny) + 1) * nb * half
-    out = (np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64), np.empty(size))
+    levels = _slab_levels(config, depth)
+    if out is None:
+        out = _slab_buffers(config, depth)
     for y0 in range(0, ny, levels):
         y1 = min(y0 + levels, ny)
         axes = [np.arange(y0 * half, nb * half), np.arange(2 * y0, 2 * y1 + 1)]
@@ -505,8 +521,9 @@ def simulate_bricklayer(
     brick_sum = 0
     records = []
     valid = _bricks_up_to(depth)
+    out = _slab_buffers(config, depth)  # one set for every replica
     for r, field in enumerate(LabelField(seed).replicas(_BRICK_TAG, range(replicas))):
-        good, lcol, rcol = _goodness_grid(field, config, depth)
+        good, lcol, rcol = _goodness_grid(field, config, depth, out)
         good_sum += int(good[valid].sum())
         brick_sum += int(valid.sum())
         reach = oriented_reach(good)  # only bricks with x <= depth are good
