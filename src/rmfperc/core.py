@@ -22,9 +22,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-# The hash works on arrays of 64-bit words, in place: each call makes one
-# scratch array and overwrites the words it was given, so a caller passes
-# only words it owns.  ``tests/oracles.py`` holds a scalar splitmix64
+# The hash works on arrays of 64-bit words, in place: a call overwrites the
+# words it was given, so a caller passes only words it owns, and makes at
+# most one scratch array.  ``tests/oracles.py`` holds a scalar splitmix64
 # written independently, one Python int at a time, that every key and
 # uniform is held to bit for bit.
 
@@ -58,24 +58,22 @@ def _combine_np(key, value, out=None, scratch=None) -> np.ndarray:
         v ^= np.uint64(_GOLDEN)
     else:
         key = key ^ np.uint64(_GOLDEN)
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(key), v.shape)
-        out = v if v.shape == shape else np.empty(shape, dtype=np.uint64)
+    if out is None and v.shape == np.broadcast(key, v).shape:
+        out = v  # v has the result's shape: the result goes into it
     return _mix_np(np.bitwise_xor(key, v, out=out), scratch)
 
 
-def _u01_np(key: np.ndarray, out=None) -> np.ndarray:
-    """The uniforms of the keys ``key`` (read only), written into ``out``,
-    a float64 array of key's shape allocated unless given."""
+def _u01_np(z: np.ndarray, out=None) -> np.ndarray:
+    """The uniforms of the keys ``z``, an array the caller owns, which is
+    shifted in place; ``out``, a float64 array of z's shape, receives them
+    and is allocated unless given."""
     # 53 high bits, offset by half a step: values lie in (0, 1], from 2^-54
     # up.  From key 2^63 on the half step is a float tie and rounds to even,
     # so the largest value below 1 is 1 - 2^-52, and every key of 2^64 - 2^11
-    # or more gives exactly 1.0.  The shifted words are cast to float64 as
-    # they are written, as astype(np.float64) casts them
-    if out is None:
-        out = np.empty(np.shape(key))
-    u = np.right_shift(key, np.uint64(11), out=out, casting="unsafe")
-    u += 0.5
+    # or more gives exactly 1.0.  np.add casts the words to float64 as
+    # astype(np.float64) does, then adds the half step
+    z >>= np.uint64(11)
+    u = np.add(z, 0.5, out=out)
     u *= 2.0**-53
     return u
 
@@ -237,4 +235,4 @@ class LabelField:
         return _u01_np(key, uniforms).T
 
     def uniform_from_key_array(self, keys: np.ndarray) -> np.ndarray:
-        return _u01_np(keys)
+        return _u01_np(np.array(keys, dtype=np.uint64))  # a copy: the keys are the caller's
