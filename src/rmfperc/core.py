@@ -22,11 +22,12 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-# The hash works on arrays of 64-bit words, in place: a call overwrites the
-# words it was given, so a caller passes only words it owns, and makes at
-# most one scratch array.  ``tests/oracles.py`` holds a scalar splitmix64
-# written independently, one Python int at a time, that every key and
-# uniform is held to bit for bit.
+# The hash works on arrays of 64-bit words with few temporaries: ``_mix_np``
+# mixes the words it is given in place, so a caller passes only words it
+# owns, and ``_combine_np`` and ``_u01_np`` read their inputs and write into
+# arrays a caller may pass in.  ``tests/oracles.py`` holds a scalar
+# splitmix64 written independently, one Python int at a time, that every
+# key and uniform is held to bit for bit.
 
 
 def _mix_np(z: np.ndarray, scratch=None) -> np.ndarray:
@@ -63,17 +64,18 @@ def _combine_np(key, value, out=None, scratch=None) -> np.ndarray:
     return _mix_np(np.bitwise_xor(key, v, out=out), scratch)
 
 
-def _u01_np(z: np.ndarray, out=None) -> np.ndarray:
-    """The uniforms of the keys ``z``, an array the caller owns, which is
-    shifted in place; ``out``, a float64 array of z's shape, receives them
-    and is allocated unless given."""
+def _u01_np(key, out=None, scratch=None) -> np.ndarray:
+    """The uniforms of the keys ``key``, read only.  ``scratch`` (uint64)
+    and ``out`` (float64), arrays of key's shape, receive the shifted words
+    and the uniforms, and are allocated unless given; a caller that owns
+    ``key`` may pass it as ``scratch``."""
     # 53 high bits, offset by half a step: values lie in (0, 1], from 2^-54
     # up.  From key 2^63 on the half step is a float tie and rounds to even,
     # so the largest value below 1 is 1 - 2^-52, and every key of 2^64 - 2^11
     # or more gives exactly 1.0.  np.add casts the words to float64 as
     # astype(np.float64) does, then adds the half step
-    z >>= np.uint64(11)
-    u = np.add(z, 0.5, out=out)
+    t = np.right_shift(key, np.uint64(11), out=scratch)
+    u = np.add(t, 0.5, out=out)
     u *= 2.0**-53
     return u
 
@@ -209,7 +211,8 @@ class LabelField:
         return _combine_np(keys, np.asarray(values, dtype=np.uint64))
 
     def uniform_array(self, coords: np.ndarray) -> np.ndarray:
-        return _u01_np(self.key_array(coords))
+        key = self.key_array(coords)
+        return _u01_np(key, scratch=key)
 
     def uniform_grid(self, axes, out=None) -> np.ndarray:
         """Uniforms of the Cartesian product of the integer ``axes``,
@@ -232,7 +235,7 @@ class LabelField:
                 shape = axis.shape[:1] + key.shape
                 keys, scratch, uniforms = (b[: math.prod(shape)].reshape(shape) for b in out)
             key = _combine_np(key, axis, keys, scratch)  # the new axis goes outermost
-        return _u01_np(key, uniforms).T
+        return _u01_np(key, uniforms, key).T
 
     def uniform_from_key_array(self, keys: np.ndarray) -> np.ndarray:
-        return _u01_np(np.array(keys, dtype=np.uint64))  # a copy: the keys are the caller's
+        return _u01_np(keys)
