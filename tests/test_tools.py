@@ -99,18 +99,25 @@ _CLI_DIFF_SPEC.loader.exec_module(cli_diff)
 _SRC = _PATH.parents[1] / "src"
 
 
-def _tree(root: Path, version=None) -> Path:
+def _tree(root: Path, version=None, edit=None) -> Path:
     """A copy of this checkout's package under ``root/src``, optionally
-    with another version string."""
+    with another version string, or with ``edit = (module, old, new)``
+    replacing one text in one of its modules."""
     shutil.copytree(_SRC / "rmfperc", root / "src" / "rmfperc",
                     ignore=shutil.ignore_patterns("__pycache__"))
     if version is not None:
-        init = root / "src" / "rmfperc" / "__init__.py"
-        init.write_text(init.read_text().replace('__version__ = "', f'__version__ = "{version}'))
+        edit = ("__init__.py", '__version__ = "', f'__version__ = "{version}')
+    if edit is not None:
+        module, old, new = edit
+        path = root / "src" / "rmfperc" / module
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
     return root
 
 
 def test_cli_diff_digest_covers_stdout_exit_code_and_out_file(tmp_path, monkeypatch, capsysbinary):
+    # stderr is digested too, after the exit code
     from rmfperc.cli import main
 
     tree = _tree(tmp_path / "a")
@@ -120,12 +127,35 @@ def test_cli_diff_digest_covers_stdout_exit_code_and_out_file(tmp_path, monkeypa
     assert cli_diff.digest(tree, "critical --theta 0.75") == expected
     with_file = hashlib.sha256(b"\nexit=0\n" + b"c.json\n" + payload).hexdigest()[:16]
     assert cli_diff.digest(tree, "critical --theta 0.75 --out c.json") == with_file
-    bad = hashlib.sha256(b"\nexit=2\n").hexdigest()[:16]
+    assert main(["critical", "--theta", "1.7"]) == 2
+    message = capsysbinary.readouterr().err
+    assert message == b"parameter error: theta must lie in (0, 1], got 1.7\n"
+    bad = hashlib.sha256(b"\nexit=2\n" + message).hexdigest()[:16]
     assert cli_diff.digest(tree, "critical --theta 1.7") == bad
     # a seed from the environment would fail this command; the tool unsets it
     monkeypatch.setenv("RMFPERC_SEED", "not-a-seed")
     command = "lattice-sim --radius 3 --replicas 2"
-    assert cli_diff.digest(tree, command) != hashlib.sha256(b"\nexit=2\n").hexdigest()[:16]
+    assert main(command.split()) == 2
+    failed = capsysbinary.readouterr()
+    refused = hashlib.sha256(failed.out + b"\nexit=2\n" + failed.err).hexdigest()[:16]
+    assert cli_diff.digest(tree, command) != refused
+
+
+def test_cli_diff_sees_a_changed_error_message(tmp_path):
+    # the two trees differ only in the text of one refusal, written to stderr
+    parent = _tree(tmp_path / "p")
+    change = _tree(tmp_path / "c", edit=("analytic.py", "theta must lie in (0, 1]",
+                                         "theta must lie in the interval (0, 1]"))
+    commands = tmp_path / "commands.txt"
+    commands.write_text("critical --theta 0.75\ncritical --theta 1.7\n")
+    out = tmp_path / "bench.json"
+    argv = [str(parent), str(change), "--commands", str(commands), "--out", str(out)]
+    assert cli_diff.main(argv) == 1
+    record = json.loads(out.read_text())["cli_diff"]
+    assert record["identical"] is False
+    assert isinstance(record["commands"]["critical --theta 0.75"], str)
+    digests = record["commands"]["critical --theta 1.7"]
+    assert digests["parent"] != digests["change"]
 
 
 def test_cli_diff_record_and_merge(tmp_path):

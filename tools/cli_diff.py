@@ -9,8 +9,8 @@ program name; blank lines and lines starting with ``#`` are skipped.
 runs once per checkout as ``python3 -m rmfperc.cli ARGS`` with that
 checkout's ``src/`` first on ``PYTHONPATH``, from a fresh empty directory
 and with ``RMFPERC_SEED`` unset.  Its digest is a sha256 prefix of stdout,
-then ``"\\nexit=N\\n"``, then the name and bytes of every file the command
-left in its directory (an ``--out`` file), in name order.
+then ``"\\nexit=N\\n"``, then stderr, then the name and bytes of every file
+the command left in its directory (an ``--out`` file), in name order.
 
 The ``cli_diff`` record of ``--out`` maps each command line to its digest,
 or to both digests where the checkouts differ, and says whether all were
@@ -56,7 +56,7 @@ def digest(checkout: Path, command: str) -> str:
             [sys.executable, "-m", "rmfperc.cli", *shlex.split(command)],
             cwd=work, env=env, capture_output=True,
         )
-        h = hashlib.sha256(proc.stdout + f"\nexit={proc.returncode}\n".encode())
+        h = hashlib.sha256(proc.stdout + f"\nexit={proc.returncode}\n".encode() + proc.stderr)
         for path in sorted(Path(work).iterdir()):
             h.update(path.name.encode() + b"\n" + path.read_bytes())
     return h.hexdigest()[:DIGEST_CHARS]
@@ -65,9 +65,9 @@ def digest(checkout: Path, command: str) -> str:
 def compare(parent: Path, change: Path, commands: list) -> dict:
     """The ``cli_diff`` record of ``commands`` at both checkouts."""
     record = {
-        "what": "stdout, exit code and any --out file of each command, run at both trees "
-                "from an empty directory with RMFPERC_SEED unset; sha256 prefix of "
-                'stdout + "\\nexit=N\\n" + (file name, file bytes)',
+        "what": "stdout, exit code, stderr and any --out file of each command, run at both "
+                "trees from an empty directory with RMFPERC_SEED unset; sha256 prefix of "
+                'stdout + "\\nexit=N\\n" + stderr + (file name, file bytes)',
         "identical": True,
         "commands": {},
     }
