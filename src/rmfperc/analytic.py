@@ -17,6 +17,7 @@ the probability that a single path of length h is increasing.
 
 from __future__ import annotations
 
+import decimal
 import math
 import numbers
 import operator
@@ -25,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -73,26 +73,43 @@ def q_theta_eval(theta: ThetaLike, x) -> float:
             (-xq) ** j * (1 - (j - 1) * theta) ** j / math.factorial(j)
             for j in range(_floor_one_over(theta) + 2)
         )
-    _, q = _q_evaluator(float(theta))
-    return float(q(float(x)))
+    return float(_q_evaluator(float(theta))(float(x)))
 
 
 def _q_evaluator(theta: float):
-    """Q_theta at fixed theta in mpmath: (descending coefficients, q), where
-    q(x) returns the unrounded mp value.
+    """Q_theta at fixed theta in decimal: q(x) returns the unrounded
+    Decimal value at the float x.
 
-    The digits (30 + 0.9/theta) absorb the alternating-sum cancellation:
+    The digits (31 + 0.9/theta) absorb the alternating-sum cancellation:
     the largest term grows like e^x while Q_theta near its minimal root is
-    exponentially small.  The context is a clone, so global mpmath
-    precision is never touched and the evaluator stays reentrant."""
-    ctx = mpmath.mp.clone()
-    ctx.dps = 30 + int(0.9 / theta)
-    th = ctx.mpf(theta)
-    coeffs = [
-        (-1) ** j * (1 - (j - 1) * th) ** j / ctx.factorial(j)
-        for j in range(_floor_one_over(theta) + 1, -1, -1)
-    ]
-    return coeffs, lambda x: ctx.polyval(coeffs, ctx.mpf(x))
+    exponentially small.  The last Horner step, acc*x + 1, is exact, so
+    Q_1(x) = 1 - x is rounded once, to binary: a float x can make 1 - x a
+    tie between two doubles, which a rounding to decimal digits first
+    would move off the tie.  Every operation goes through a
+    private context's methods, so the thread's decimal context is neither
+    read nor changed, and floats enter only through the exact
+    ``Decimal.from_float``."""
+    ctx = decimal.Context(
+        prec=31 + int(0.9 / theta), rounding=decimal.ROUND_HALF_EVEN,
+        Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX,
+        traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow],
+    )
+    exact = ctx.copy()
+    exact.prec = decimal.MAX_PREC  # products and sums only: never rounded
+    th = decimal.Decimal.from_float(theta)
+    coeffs = []  # descending powers of x; the last is 1
+    for j in range(_floor_one_over(theta) + 1, -1, -1):
+        c = ctx.divide(ctx.power(ctx.subtract(1, ctx.multiply(j - 1, th)), j), math.factorial(j))
+        coeffs.append(ctx.minus(c) if j % 2 else c)
+
+    def q(x: float) -> decimal.Decimal:
+        xd = decimal.Decimal.from_float(x)
+        acc = coeffs[0]
+        for c in coeffs[1:-1]:
+            acc = ctx.fma(acc, xd, c)
+        return exact.fma(acc, xd, coeffs[-1])
+
+    return q
 
 
 # the relative tolerance floor and the default iteration limit of SciPy's brentq
@@ -186,14 +203,16 @@ def m_critical(theta: ThetaLike) -> float:
     m_c >= 1), where Q_theta is positive, and climbs in steps of theta/2,
     shorter than the ~5*theta spacing of the real roots near m_c, up to
     the first point with Q_theta <= 0; _brentq polishes the one root of
-    that cell on the mp value scaled by 2^-mag(Q_theta(start)), so no
-    value underflows the float range.  The walk gives up at
+    that cell on the Decimal value times 2^shift, a power of two near
+    1/Q_theta(start), so no value underflows the float range.  The scaled
+    value is the exact ratio rounded once, and brentq's steps do not
+    change when f is multiplied by a power of two.  The walk gives up at
     1.03/(theta*(2-theta)), above the upper bound on m_c."""
     _check_theta(theta)
     th = float(theta)
     if th < 1e-3:
         raise ValueError(f"theta={th} below supported floor 1e-3")
-    _, q = _q_evaluator(th)
+    q = _q_evaluator(th)
     lo = max(1.0, 1.0 / (math.e * th))
     q_start = q(lo)
     if q_start < 0:
@@ -211,11 +230,15 @@ def m_critical(theta: ThetaLike) -> float:
         lo = x
     if q_x == 0:
         return x
+    num, den = q_start.as_integer_ratio()
+    shift = den.bit_length() - num.bit_length()
+
+    def scaled(m: float) -> float:
+        num, den = q(m).as_integer_ratio()
+        return (num << shift) / den if shift >= 0 else num / (den << -shift)
+
     # the relative tolerance, _brentq's floor of 4 eps, is the binding one
-    shift = -mpmath.mag(q_start)
-    return _brentq(
-        lambda m: float(mpmath.ldexp(q(m), shift)), lo, x, xtol=1e-300, rtol=8.9e-16
-    )
+    return _brentq(scaled, lo, x, xtol=1e-300, rtol=8.9e-16)
 
 
 def theta_critical(m: float) -> float:

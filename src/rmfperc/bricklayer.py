@@ -18,6 +18,7 @@ far enough from the origin is label-increasing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -100,6 +101,13 @@ class BrickConfig:
     @property
     def metric(self) -> Metric:
         return Metric(self.q)
+
+    @functools.cached_property
+    def _threshold(self) -> int:
+        """A_q(n), or 0 for q = inf, where no column threshold applies;
+        computed on first use.  It is not a dataclass field, so equality,
+        hashing and repr do not see it."""
+        return 0 if self.q == math.inf else compute_A(self)
 
 
 def _brick_sites(ks, ys, n: int) -> np.ndarray:
@@ -210,7 +218,7 @@ def _far_sites(config: BrickConfig, x_max: float):
     if not keep.any():
         raise ValueError("the brick range holds no brick with x >= 2")
     sites = _brick_sites(k[keep], y[keep], config.n)
-    a_min = 0 if config.q == math.inf else compute_A(config)
+    a_min = config._threshold
     far = sites[..., 0] >= a_min
     if not far.any():
         raise ValueError(

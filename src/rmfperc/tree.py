@@ -50,9 +50,10 @@ MEMBER_BUDGET = 16_384
 # for the 3^10, 3^12 and 3^14 members of an uncapped ternary tree at
 # theta = 1), 90-98 per replica for the arrays ``_histories`` and the sweep
 # build before they step, and 32 per replica and generation for the
-# martingale's (replicas, generations + 1) sums and sizes; it reduces the
-# weights one generation at a time and peaks at about 16 (267 and 927
-# bytes per replica at 10 and 50 generations)
+# martingale's (replicas, generations + 1) weight sums; it reduces them one
+# generation at a time and peaks at about 8 per cell (183 and 503 bytes per
+# replica at 10 and 50 generations, m = 2, theta = 0.15, 20,000 replicas).
+# The guard keeps 32, so that it refuses the same runs
 _BYTES_PER_MEMBER = 64
 _BYTES_PER_REPLICA = 100
 _BYTES_PER_TRACE_CELL = 32
@@ -385,13 +386,14 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
     """Evolve the replicas with global ids ``replica_ids`` for
     ``generations`` generations.
 
-    Returns ``(extinct_at, capped_at, sums, sizes)``, one row per id in the
-    order of ``replica_ids``.  Per replica, ``extinct_at`` is the generation
-    at which its frontier emptied and ``capped_at`` the one at which it
-    passed ``cap`` (``generations + 1`` for neither); a capped replica stops
-    there.  With ``weight`` given, ``sums`` and ``sizes`` are (replicas,
-    generations + 1) arrays of the frontier sums of ``weight(uniforms)`` and
-    of the frontier sizes (else None).
+    Returns ``(extinct_at, capped_at, sums, totals)``, the first three with
+    one row per id in the order of ``replica_ids``.  Per replica,
+    ``extinct_at`` is the generation at which its frontier emptied and
+    ``capped_at`` the one at which it passed ``cap`` (``generations + 1``
+    for neither); a capped replica stops there.  With ``weight`` given,
+    ``sums`` is the (replicas, generations + 1) array of the frontier sums
+    of ``weight(uniforms)`` (else None).  ``totals`` holds, per generation,
+    the frontier members of all replicas together.
 
     Only live members size the batches: before a step, a batch whose
     children could pass ``MEMBER_BUDGET`` hands half of its replicas to a
@@ -408,10 +410,8 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
         raise ValueError(f"cap must be >= 1, got {cap}")
     extinct_at = np.full(replicas, generations + 1)
     capped_at = np.full(replicas, generations + 1)
-    sums = sizes = None
-    if weight is not None:
-        sums = np.zeros((replicas, generations + 1))
-        sizes = np.zeros((replicas, generations + 1), dtype=np.int64)
+    sums = None if weight is None else np.zeros((replicas, generations + 1))
+    totals = np.zeros(generations + 1, dtype=np.int64)
     growth = max(offspring.mean, 1.0)
     stack = [(0, _BatchState(field, replica_ids))]
     while stack:
@@ -419,12 +419,11 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
         while len(state.rows):
             while len(state.rows) > 1 and len(state.uniforms) * growth > MEMBER_BUDGET:
                 stack.append((gen, state.split()))
+            totals[gen] += len(state.replica)
             if weight is not None:
-                n = len(state.rows)
                 sums[state.rows, gen] = np.bincount(
-                    state.replica, weights=weight(state.uniforms), minlength=n
+                    state.replica, weights=weight(state.uniforms), minlength=len(state.rows)
                 )
-                sizes[state.rows, gen] = np.bincount(state.replica, minlength=n)
             if gen == generations:
                 break
             counts = state.step(theta, offspring, field, cap)
@@ -434,7 +433,7 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
             live = (counts > 0) & (counts <= cap)
             if not live.all():
                 state.keep(live)
-    return extinct_at, capped_at, sums, sizes
+    return extinct_at, capped_at, sums, totals
 
 
 def _guard_run(replicas, cap, offspring, trace_cells=0):
@@ -604,7 +603,7 @@ def martingale_trace(
     _guard_run(replicas, cap, offspring, trace_cells=generations + 1)
     m = offspring.mean
     lam = lead_eigenvalue(m, theta)
-    _, capped_at, sums, sizes = _histories(
+    _, capped_at, sums, totals = _histories(
         theta, offspring, generations, np.arange(replicas), cap, LabelField(seed),
         weight=lambda u: eigenfunction_eval(m, theta, lam, u),
     )
@@ -625,6 +624,6 @@ def martingale_trace(
         lam=lam,
         means=means,
         stderrs=stderrs,
-        frontier_means=sizes.sum(axis=0) / replicas,
+        frontier_means=totals / replicas,
         replicas=replicas,
     )

@@ -17,7 +17,11 @@ then the inverse CDF with the table built afresh on each call.
 ``theta_sweep_oracle`` is the per-drift loop that re-simulates every
 replica at every grid point.  ``survival_oracle`` integrates the survival
 recursion on a grid, and ``minimal_root_oracle`` finds the minimal root of
-Q_theta by a fine scan.  ``eigen_char_poly`` is a second, float route to
+Q_theta by a fine scan.  ``q_evaluator_oracle``, ``q_theta_eval_oracle``,
+``m_critical_oracle`` and ``theta_critical_oracle`` are the mpmath
+evaluator of Q_theta and the root finders built on it, as
+``rmfperc.analytic`` had them before it evaluated Q_theta in ``decimal``;
+the library is held to them bit for bit.  ``eigen_char_poly`` is a second, float route to
 the lead eigenvalue: the roots of the characteristic polynomial, and
 ``eigenfunction_oracle`` evaluates the lead eigenfunction one boolean mask
 per polynomial term.
@@ -42,7 +46,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
-from rmfperc.analytic import _floor_one_over, _log_path_term
+from rmfperc.analytic import _brentq, _check_theta, _floor_one_over, _log_path_term
 from rmfperc.bricklayer import BrickConfig
 from rmfperc.core import LabelField, Metric
 from rmfperc.tree import (
@@ -302,6 +306,74 @@ def minimal_root_oracle(theta: float) -> float:
         return float(x + step)
     scale = 1 / abs(q_x)
     return float(ctx.findroot(lambda m: q(m) * scale, (x, x + step), solver="anderson"))
+
+
+def q_evaluator_oracle(theta: float):
+    """Q_theta at fixed theta in mpmath: q(x) returns the unrounded mp value
+    of the Horner sum over descending coefficients, at 30 + 0.9/theta
+    digits in a cloned context."""
+    ctx = mpmath.mp.clone()
+    ctx.dps = 30 + int(0.9 / theta)
+    th = ctx.mpf(theta)
+    coeffs = [
+        (-1) ** j * (1 - (j - 1) * th) ** j / ctx.factorial(j)
+        for j in range(_floor_one_over(theta) + 1, -1, -1)
+    ]
+    return lambda x: ctx.polyval(coeffs, ctx.mpf(x))
+
+
+def q_theta_eval_oracle(theta: float, x: float) -> float:
+    """Q_theta(x) at a float drift, rounded once from the mpmath value."""
+    _check_theta(theta)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    return float(q_evaluator_oracle(float(theta))(float(x)))
+
+
+def m_critical_oracle(theta: float) -> float:
+    """The walk and brentq polish of ``rmfperc.analytic.m_critical`` on the
+    mpmath evaluator, each value scaled by 2^-mag(Q_theta(start))."""
+    _check_theta(theta)
+    th = float(theta)
+    if th < 1e-3:
+        raise ValueError(f"theta={th} below supported floor 1e-3")
+    q = q_evaluator_oracle(th)
+    lo = max(1.0, 1.0 / (math.e * th))
+    q_start = q(lo)
+    if q_start < 0:
+        raise RuntimeError(f"Q_theta < 0 at the lower bound m={lo} for theta={th}")
+    if q_start == 0:
+        return lo
+    hi = 1.03 / (th * (2.0 - th))
+    while True:
+        x = min(lo + th / 2.0, hi)
+        q_x = q(x)
+        if q_x <= 0:
+            break
+        if x == hi:
+            raise RuntimeError(f"no sign change of Q_theta up to m={hi} for theta={th}")
+        lo = x
+    if q_x == 0:
+        return x
+    shift = -mpmath.mag(q_start)
+    return _brentq(
+        lambda m: float(mpmath.ldexp(q(m), shift)), lo, x, xtol=1e-300, rtol=8.9e-16
+    )
+
+
+def theta_critical_oracle(m: float) -> float:
+    """``rmfperc.analytic.theta_critical`` on ``m_critical_oracle``."""
+    if not m >= 1.0:
+        raise ValueError(f"theta_critical requires m >= 1, got {m}")
+    if m == 1.0:
+        return 1.0
+    lo = max(1e-3, 0.98 / (math.e * m))
+    hi = min(1.0, 1.02 * (1.0 - math.sqrt(1.0 - 1.0 / m)))
+    if hi <= lo or (lo == 1e-3 and m_critical_oracle(lo) <= m):
+        raise ValueError(
+            f"theta_c({m}) lies below the supported drift floor 1e-3"
+        )
+    return _brentq(lambda t: m_critical_oracle(t) - m, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def first_moment_bound(log_count: float, h: int, theta: float) -> float:

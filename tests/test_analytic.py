@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -20,7 +21,15 @@ from rmfperc import (
     theta_bounds,
     theta_critical,
 )
-from oracles import eigen_char_poly, eigenfunction_oracle, first_moment_bound, minimal_root_oracle
+from oracles import (
+    eigen_char_poly,
+    eigenfunction_oracle,
+    first_moment_bound,
+    m_critical_oracle,
+    minimal_root_oracle,
+    q_theta_eval_oracle,
+    theta_critical_oracle,
+)
 
 
 def closed_form_mc(theta):
@@ -158,6 +167,59 @@ def test_theta_critical_rejects_nan():
 
 def test_theta_critical_asymptote():
     assert abs(50.0 * theta_critical(50.0) - 1.0 / math.e) < 0.05
+
+
+# --- the decimal evaluator against the mpmath one it replaced ----------------
+
+
+def _hex_or_error(f, *args):
+    """The float.hex of f(*args), or the exception's type and message."""
+    try:
+        return f(*args).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_mpmath_bits(theta, xs):
+    assert _hex_or_error(m_critical, theta) == _hex_or_error(m_critical_oracle, theta)
+    for x in xs:
+        assert _hex_or_error(q_theta_eval, theta, x) == _hex_or_error(q_theta_eval_oracle, theta, x)
+
+
+@pytest.mark.parametrize("theta", [1.0 / k for k in range(1, 21)] + [0.0012, 0.0049])
+def test_root_finders_keep_mpmath_bits_at_listed_drifts(theta):
+    walk_top = 1.03 / (theta * (2.0 - theta))
+    _assert_mpmath_bits(theta, [-1.0, 0.0, 1.0, 1.0 / (math.e * theta), walk_top])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theta=st.floats(math.log(1e-3), 0.0).map(math.exp),
+    u=st.lists(st.floats(-0.5, 1.0), min_size=1, max_size=3),
+)
+def test_root_finders_keep_mpmath_bits(theta, u):
+    # theta log-uniform on [1e-3, 1]; x up to the top of m_critical's walk
+    _assert_mpmath_bits(theta, [v * 1.03 / (theta * (2.0 - theta)) for v in u])
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.floats(0.0, math.log(368.0), exclude_min=True).map(math.exp))
+def test_theta_critical_keeps_mpmath_bits(m):
+    # m log-uniform on (1, 368]; m = 368 is refused at the drift floor
+    assert _hex_or_error(theta_critical, m) == _hex_or_error(theta_critical_oracle, m)
+
+
+def test_evaluator_neither_reads_nor_changes_the_decimal_context():
+    def values():
+        return [m_critical(1e-3).hex(), m_critical(0.3).hex(), theta_critical(2.0).hex(),
+                q_theta_eval(0.01, 30.0).hex(), q_theta_eval(0.5, -1e300).hex()]
+
+    expected = values()
+    hostile = decimal.Context(prec=5, traps=list(decimal.Context().flags))
+    with decimal.localcontext(hostile):
+        before = repr(decimal.getcontext())
+        assert values() == expected
+        assert repr(decimal.getcontext()) == before
 
 
 def test_theta_bounds_values():

@@ -408,12 +408,13 @@ def test_unwritable_out_is_a_parameter_error(tmp_path, capsys, make_out, args):
 
 
 def test_cli_runs_without_scipy():
-    # scipy is a test dependency only: the CLI neither needs nor loads it
+    # scipy and mpmath are test dependencies only: the CLI neither needs
+    # nor loads them
     src = os.path.dirname(os.path.dirname(rmfperc.__file__))
     path = [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     blocked = subprocess.run(
-        [sys.executable, "-c", 'import sys; sys.modules["scipy"] = None\n'
+        [sys.executable, "-c", 'import sys; sys.modules["scipy"] = sys.modules["mpmath"] = None\n'
          'from rmfperc.cli import main; sys.exit(main(["bounds", "--m", "2"]))'],
         env=env, capture_output=True, text=True,
     )
@@ -421,7 +422,7 @@ def test_cli_runs_without_scipy():
     assert json.loads(blocked.stdout)["exact"] == theta_critical(2.0)
     loaded = subprocess.run(
         [sys.executable, "-c", "import sys, rmfperc.cli\n"
-         "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"],
+         "print(sorted(k for k in sys.modules if k.split('.')[0] in ('scipy', 'mpmath')))"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert loaded.stdout == "[]\n"
@@ -481,6 +482,26 @@ def test_bricklayer_check_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 4e6
+
+
+def test_bricklayer_check_finds_the_threshold_once(tmp_path, monkeypatch):
+    # both checks read A_q(n) from the one BrickConfig, which computes it once
+    import rmfperc.bricklayer as bricklayer
+
+    compute_A, calls = bricklayer.compute_A, []
+
+    def counting(config):
+        calls.append(config)
+        return compute_A(config)
+
+    monkeypatch.setattr(bricklayer, "compute_A", counting)
+    args = ["bricklayer-check", "--q", "2", "--n-brick", "64", "--theta", "0.9995", "--samples", "2"]
+    code, payload = run_cli(args, tmp_path)
+    assert code == 0 and json.loads(payload)["distance_threshold"] == 81
+    assert len(calls) == 1
+    # a new config computes it again: no memo outlives its BrickConfig
+    assert bricklayer.BrickConfig(64, 2.0)._threshold == 81
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize(

@@ -573,11 +573,11 @@ def test_results_independent_of_batching_and_unhit_cap(
     law_depth, theta, replicas, seed, budget, data
 ):
     offspring, generations = law_depth
-    _, _, _, sizes = tree._histories(
+    _, _, sizes, _ = tree._histories(
         theta, offspring, generations, np.arange(replicas), tree.DEFAULT_CAP, LabelField(seed),
-        weight=np.zeros_like,
+        weight=np.ones_like,
     )
-    peak = int(sizes.max())  # no cap >= peak is ever passed
+    peak = int(sizes.max())  # the largest frontier of one replica: no cap >= peak is passed
     unhit = data.draw(st.integers(peak, peak + 100), label="unhit cap")
     hit = data.draw(st.integers(1, peak - 1), label="hit cap") if peak > 1 else None
     with pytest.MonkeyPatch.context() as mp:
