@@ -231,11 +231,11 @@ def m_critical(theta: ThetaLike) -> float:
     if q_x == 0:
         return x
     num, den = q_start.as_integer_ratio()
-    shift = den.bit_length() - num.bit_length()
+    shift = den.bit_length() - num.bit_length()  # Q_theta(start) * 2^shift in (1/2, 2)
 
     def scaled(m: float) -> float:
-        num, den = q(m).as_integer_ratio()
-        return (num << shift) / den if shift >= 0 else num / (den << -shift)
+        n, d = q(m).as_integer_ratio()
+        return (n << shift) / d if shift >= 0 else n / (d << -shift)
 
     # the relative tolerance, _brentq's floor of 4 eps, is the binding one
     return _brentq(scaled, lo, x, xtol=1e-300, rtol=8.9e-16)
