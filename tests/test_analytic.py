@@ -188,8 +188,9 @@ def _assert_mpmath_bits(theta, xs):
 
 @pytest.mark.parametrize("theta", [1.0 / k for k in range(1, 21)] + [0.0012, 0.0049])
 def test_root_finders_keep_mpmath_bits_at_listed_drifts(theta):
+    # at theta = 1, Q_1(0.2575) = 1 - 0.2575 is a tie between two doubles
     walk_top = 1.03 / (theta * (2.0 - theta))
-    _assert_mpmath_bits(theta, [-1.0, 0.0, 1.0, 1.0 / (math.e * theta), walk_top])
+    _assert_mpmath_bits(theta, [-1.0, 0.0, 0.2575, 1.0, 1.0 / (math.e * theta), walk_top])
 
 
 @settings(max_examples=60, deadline=None)
