@@ -97,9 +97,15 @@ def _q_evaluator(theta: float):
     exact = ctx.copy()
     exact.prec = decimal.MAX_PREC  # products and sums only: never rounded
     th = decimal.Decimal.from_float(theta)
+    top = _floor_one_over(theta) + 1
+    # j! by exact products: the divisor has the value ctx.divide would
+    # convert math.factorial(j) to, without converting a large int
+    facts = [decimal.Decimal(1)]
+    for j in range(1, top + 1):
+        facts.append(exact.multiply(facts[-1], j))
     coeffs = []  # descending powers of x; the last is 1
-    for j in range(_floor_one_over(theta) + 1, -1, -1):
-        c = ctx.divide(ctx.power(ctx.subtract(1, ctx.multiply(j - 1, th)), j), math.factorial(j))
+    for j in range(top, -1, -1):
+        c = ctx.divide(ctx.power(ctx.subtract(1, ctx.multiply(j - 1, th)), j), facts[j])
         coeffs.append(ctx.minus(c) if j % 2 else c)
 
     def q(x: float) -> decimal.Decimal:
@@ -377,7 +383,8 @@ def eigenfunction_eval(m: float, theta: float, lam: float, u):
     On piece j (u in [j*theta, (j+1)*theta)) f is the sum over i = 0..j of
     (-m/lambda)^i / i! * (u - i*theta)^i.  The points are ordered by piece
     once, so term i is added to the contiguous run of points with j >= i,
-    in order i = 0, 1, ..., each point's sum starting from 0.0."""
+    in order i = 0, 1, ....  Term 0 is 1.0 at every point, and 0.0 + 1.0
+    is 1.0, so each sum starts from 1.0 and term 1 needs no power."""
     _check_eigen(m, theta, lam)
     scalar = np.isscalar(u)
     uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
@@ -390,13 +397,14 @@ def eigenfunction_eval(m: float, theta: float, lam: float, u):
     us = uu[order]
     pieces = np.bincount(j, minlength=kmax + 1)
     starts = np.cumsum(pieces) - pieces  # points on pieces below i
-    acc = np.zeros_like(uu)
+    acc = np.ones_like(uu)
     ratio = -m / lam
-    coeff = 1.0
-    for i, s in enumerate(starts.tolist()):
+    coeff = ratio  # (-m/lambda)^i / i!
+    for i, s in enumerate(starts.tolist()[1:], start=1):
         if s == len(us):
             break
-        acc[s:] += coeff * (us[s:] - i * theta) ** i
+        d = us[s:] - i * theta
+        acc[s:] += coeff * (d if i == 1 else d**i)
         coeff *= ratio / (i + 1)
     out = np.empty_like(uu)
     out[order] = acc

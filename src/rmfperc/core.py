@@ -21,6 +21,11 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# the constants and shifts as numpy words, made once: making one at each use
+# cost about 0.3 us, and a hash of 64 keys takes 8 of them
+_GOLDEN_W, _MIX1_W, _MIX2_W = np.uint64(_GOLDEN), np.uint64(_MIX1), np.uint64(_MIX2)
+_S11, _S27, _S30, _S31 = (np.uint64(s) for s in (11, 27, 30, 31))
+
 
 # The hash works on arrays of 64-bit words with few temporaries: ``_mix_np``
 # mixes the words it is given in place, so a caller passes only words it
@@ -36,13 +41,13 @@ def _mix_np(z: np.ndarray, scratch=None) -> np.ndarray:
     the one temporary; it is allocated unless given."""
     if scratch is None:
         scratch = np.empty(z.shape, dtype=np.uint64)  # an array even for 0-d z
-    t = np.right_shift(z, np.uint64(30), out=scratch)
+    t = np.right_shift(z, _S30, out=scratch)
     z ^= t
-    z *= np.uint64(_MIX1)
-    np.right_shift(z, np.uint64(27), out=t)
+    z *= _MIX1_W
+    np.right_shift(z, _S27, out=t)
     z ^= t
-    z *= np.uint64(_MIX2)
-    np.right_shift(z, np.uint64(31), out=t)
+    z *= _MIX2_W
+    np.right_shift(z, _S31, out=t)
     z ^= t
     return z
 
@@ -53,12 +58,12 @@ def _combine_np(key, value, out=None, scratch=None) -> np.ndarray:
     and ``scratch``, arrays of the broadcast shape, hold the result and
     ``_mix_np``'s temporary, and are allocated unless given."""
     # the unsafe cast wraps signed values as astype(np.uint64) does
-    v = np.multiply(value, np.uint64(_GOLDEN), dtype=np.uint64, casting="unsafe",
+    v = np.multiply(value, _GOLDEN_W, dtype=np.uint64, casting="unsafe",
                     out=np.empty(np.shape(value), dtype=np.uint64))
     if v.size <= np.size(key):  # ^ G on the smaller operand
-        v ^= np.uint64(_GOLDEN)
+        v ^= _GOLDEN_W
     else:
-        key = key ^ np.uint64(_GOLDEN)
+        key = key ^ _GOLDEN_W
     if out is None and v.shape == np.broadcast(key, v).shape:
         out = v  # v has the result's shape: the result goes into it
     return _mix_np(np.bitwise_xor(key, v, out=out), scratch)
@@ -74,7 +79,7 @@ def _u01_np(key, out=None, scratch=None) -> np.ndarray:
     # so the largest value below 1 is 1 - 2^-52, and every key of 2^64 - 2^11
     # or more gives exactly 1.0.  np.add casts the words to float64 as
     # astype(np.float64) does, then adds the half step
-    t = np.right_shift(key, np.uint64(11), out=scratch)
+    t = np.right_shift(key, _S11, out=scratch)
     u = np.add(t, 0.5, out=out)
     u *= 2.0**-53
     return u
@@ -237,5 +242,7 @@ class LabelField:
             key = _combine_np(key, axis, keys, scratch)  # the new axis goes outermost
         return _u01_np(key, uniforms, key).T
 
-    def uniform_from_key_array(self, keys: np.ndarray) -> np.ndarray:
-        return _u01_np(keys)
+    def uniform_from_key_array(self, keys: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """The uniforms of the keys ``keys``, read only; ``out`` and
+        ``scratch`` are ``_u01_np``'s."""
+        return _u01_np(keys, out, scratch)

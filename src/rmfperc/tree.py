@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .analytic import eigenfunction_eval, lead_eigenvalue
-from .core import _GOLDEN, LabelField, _guard_bytes, _mix_np
+from .core import _GOLDEN_W, LabelField, _guard_bytes, _mix_np
 
 __all__ = [
     "OffspringDistribution",
@@ -41,15 +41,17 @@ DEFAULT_CAP = 10**6
 # expected children of one batch step, and the most children one slice of
 # a step makes (one parent may pass it alone).  Only live members count.
 # 2^14 children make 128 kB temporaries: a step's working set stays in a
-# 2 MB L2 cache, and the allocator reuses heap pages instead of faulting
-# in fresh ones for each array (README, "Numerical notes", for the sweep)
+# 2 MB L2 cache (README, "Numerical notes", for the sweep).  They live in
+# the run's ``_StepBuffers``, not in fresh arrays at each step
 MEMBER_BUDGET = 16_384
 
 # tracemalloc peaks of the engine, for the memory guard: about 64 bytes per
-# frontier member of one replica stepped near the cap (4.2, 34 and 307 MB
-# for the 3^10, 3^12 and 3^14 members of an uncapped ternary tree at
-# theta = 1), 90-98 per replica for the arrays ``_histories`` and the sweep
-# build before they step, and 32 per replica and generation for the
+# frontier member of one replica stepped near the cap (64 MB for a ternary
+# replica at theta = 0.6 passing the cap 10^6, whose input and output
+# buffers each hold up to cap members; 3.1, 19.5 and 167 MB for the 3^10,
+# 3^12 and 3^14 members of an uncapped ternary tree at theta = 1), 90-98
+# per replica for the arrays ``_histories`` and the sweep build before
+# they step, and 32 per replica and generation for the
 # martingale's (replicas, generations + 1) weight sums; it reduces them one
 # generation at a time and peaks at about 8 per cell (183 and 503 bytes per
 # replica at 10 and 50 generations, m = 2, theta = 0.15, 20,000 replicas).
@@ -249,7 +251,78 @@ def _by_row(op, column, other, out):
     return out
 
 
-def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
+class _StepBuffers:
+    """The arrays of the generation steps of one tree run.  A public call
+    makes one set and every step of every batch and drift reuses it: fresh
+    temporaries at each step made glibc hand the heap top back to the OS
+    and fault its pages in again on the next step.  Each group grows to the
+    largest step it has seen and never shrinks:
+
+    - per parent of one slice: ``pre`` (keys ^ G) and ``thr`` (u - theta);
+    - per child of one slice: the word table ``words[i] = (_CHILD_BASE +
+      i)·G``, the child keys, ``_mix_np``'s scratch (later the gathered
+      thresholds, then the kept children's replicas), the child uniforms,
+      the kept mask and the kept children's parents;
+    - per member: two sides of step outputs (uniforms, keys, replica), so a
+      step never writes into the side its input lies in, and
+      ``renumbered``, the replica slots after a batch drops replicas.
+
+    Batches that ``_BatchState.split`` pushes own fresh arrays; only the
+    batch being stepped holds views of these."""
+
+    def __init__(self):
+        self.pre = self.thr = np.empty(0)
+        self._children(0)
+        self.sides = [self._outputs(0), self._outputs(0)]
+        self.renumbered = np.empty(0, dtype=np.int64)
+
+    def _children(self, n):
+        """Make the per-child group for ``n`` children, letting the old one
+        go first."""
+        self.words = self.child_keys = self.scratch = self.child_u = self.mask = self.index = None
+        self.words = np.arange(_CHILD_BASE, _CHILD_BASE + n, dtype=np.uint64)
+        self.words *= _GOLDEN_W
+        self.child_keys, self.scratch = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+        self.child_u, self.mask, self.index = np.empty(n), np.empty(n, bool), np.empty(n, np.int64)
+
+    @staticmethod
+    def _outputs(n):
+        return np.empty(n), np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int64)
+
+    def fit(self, keys, parents, children, members):
+        """Grow the groups to ``parents`` parents and ``children`` children
+        of one slice and ``members`` outputs, and return the output side
+        that ``keys``, the step's input, does not lie in.  Old arrays are
+        let go before larger ones are made."""
+        if parents > len(self.pre):
+            del self.pre, self.thr
+            self.pre, self.thr = np.empty(parents, dtype=np.uint64), np.empty(parents)
+        if children > len(self.words):
+            self._children(children)
+        i = int(np.may_share_memory(keys, self.sides[0][1]))
+        if members > len(self.sides[i][0]):
+            self.sides[i] = ()
+            self.sides[i] = self._outputs(members)
+        return self.sides[i]
+
+
+def _drop_runs(gone, stored, outputs):
+    """Remove the entries at the increasing positions ``gone`` from the
+    first ``stored`` of each array of ``outputs``, in place, and return the
+    count left.  The members of one replica lie together, so ``gone`` is a
+    few runs, and each stretch between them moves left once."""
+    cut = np.flatnonzero(np.diff(gone) > 1) + 1
+    firsts = gone[np.concatenate(([0], cut))].tolist()
+    ends = (gone[np.concatenate((cut - 1, [-1]))] + 1).tolist()
+    write = firsts[0]
+    for lo, hi in zip(ends, firsts[1:] + [stored]):
+        for a in outputs:
+            a[write : write + hi - lo] = a[lo:hi]
+        write += hi - lo
+    return write
+
+
+def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap, buffers=None):
     """One synchronous generation for a flat batch of parents, where
     ``replica`` maps each parent to its replica's slot in ``range(slots)``.
 
@@ -262,63 +335,93 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap):
 
     Child i of the parent with key k has key ``derive_key_array(k,
     _CHILD_BASE + i)`` = mix(k ^ (_CHILD_BASE + i)·G ^ G), computed as
-    mix(pre[parent] ^ words[i]) from ``pre = keys ^ G`` and the word table
-    ``words[i] = (_CHILD_BASE + i)·G``.  A deterministic law lays each
-    slice's children out as a (parents, m) block; the others index the
-    word table by each child's index among its siblings.
+    mix(pre[parent] ^ words[i]) from ``pre = keys ^ G``, taken once per
+    parent, and the word table ``words[i] = (_CHILD_BASE + i)·G``.  A
+    deterministic law lays each slice's children out as a (parents, m)
+    block.  The others number the slice's children j = 0, 1, ... and take
+    child j, sibling j - s of the parent whose first child is j = s, as
+    words[j] - s·G, which is words[j - s] modulo 2^64.
+
+    The temporaries and the children are written into ``buffers``, a
+    ``_StepBuffers`` (a new one unless given), and the children returned
+    are views of it, valid until the step after next.  Gathers into them
+    are ``take(..., mode="clip")``, which numpy writes into ``out``
+    unbuffered (every index is valid, so nothing is clipped).
     """
     counts = offspring.sample(keys, field)
     kept = np.zeros(slots, dtype=np.int64)
     width = int(counts.max(initial=0))
     if width == 0:
         return np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), kept
-    words = np.arange(_CHILD_BASE, _CHILD_BASE + width, dtype=np.uint64)
-    words *= np.uint64(_GOLDEN)
-    pre = keys ^ np.uint64(_GOLDEN)
-    thr = uniforms - theta  # fl(u - theta), once per parent
     block = offspring.kind == "deterministic"
+    total = len(keys) * width if block else int(counts.sum())
+    bounds = _slices(counts, offspring)
+    b = _StepBuffers() if buffers is None else buffers
+    # no replica holds more than cap members of the outputs
+    outputs = b.fit(
+        keys, max(hi - lo for lo, hi in bounds), min(total, max(MEMBER_BUDGET, width)),
+        int(min(total, slots * cap)),
+    )
+    out_u, out_k, out_r = outputs
     capped = False  # whether a replica has passed the cap in this step
-    pieces = []
-    for lo, hi in _slices(counts, offspring):
-        ids = np.arange(lo, hi)
+    stored = 0  # children written to the outputs
+    for lo, hi in bounds:
+        parents = slice(lo, hi)
         if capped:  # skip the parents of replicas already over the cap
-            ids = ids[kept[replica[lo:hi]] <= cap]
+            ids = np.arange(lo, hi)
+            parents = ids[kept[replica[lo:hi]] <= cap]
+        rep_p = replica[parents]
+        pre_p = np.bitwise_xor(keys[parents], _GOLDEN_W, out=b.pre[: len(rep_p)])
+        thr_p = np.subtract(uniforms[parents], theta, out=b.thr[: len(rep_p)])  # fl(u - theta)
         if block:
-            parents = ids if capped else slice(lo, hi)  # views until then
-            shape = (len(ids), width)
-            child_keys = _by_row(np.bitwise_xor, pre[parents], words, np.empty(shape, np.uint64))
-            child_keys = _mix_np(child_keys).ravel()
-            child_u = field.uniform_from_key_array(child_keys)
+            shape = (len(pre_p), width)
+            size = shape[0] * width
+            child_keys = b.child_keys[:size]
+            _by_row(np.bitwise_xor, pre_p, b.words[:width], child_keys.reshape(shape))
+            scratch = b.scratch[:size]
+            _mix_np(child_keys, scratch)
+            child_u = field.uniform_from_key_array(child_keys, b.child_u[:size], scratch)
             # kept children by index: whether a child is kept is a coin
             # flip, and a boolean mask of random pattern copies slower
             # than a gather; u > thr is thr < u
-            kept_mask = _by_row(np.less, thr[parents], child_u.reshape(shape), np.empty(shape, bool))
-            keep = np.flatnonzero(kept_mask)
-            child_rep = replica[parents][keep // width]
+            mask = b.mask[:size]
+            _by_row(np.less, thr_p, child_u.reshape(shape), mask.reshape(shape))
+            keep = mask.nonzero()[0]  # np.flatnonzero, without its wrapper
+            parent_of = np.floor_divide(keep, width, out=b.index[: len(keep)])
         else:
-            c = counts[ids]
-            total = int(c.sum())
-            if total == 0:
+            c = counts[parents]
+            size = int(c.sum())
+            if size == 0:
                 continue
-            parent_idx = np.repeat(ids, c)
-            sibling = np.arange(total) - np.repeat(np.cumsum(c) - c, c)
-            child_keys = _mix_np(pre[parent_idx] ^ words[sibling])
-            child_u = field.uniform_from_key_array(child_keys)
-            keep = np.flatnonzero(child_u > thr[parent_idx])
-            child_rep = replica[parent_idx[keep]]
+            local = np.repeat(np.arange(len(c)), c)  # each child's parent in the slice
+            first = (np.cumsum(c) - c).view(np.uint64)  # each parent's first child
+            first *= _GOLDEN_W  # wraps modulo 2^64, as the words do
+            scratch = first.take(local, out=b.scratch[:size], mode="clip")
+            child_keys = np.subtract(b.words[:size], scratch, out=b.child_keys[:size])
+            child_keys ^= pre_p.take(local, out=scratch, mode="clip")
+            _mix_np(child_keys, scratch)
+            child_u = field.uniform_from_key_array(child_keys, b.child_u[:size], scratch)
+            mask = b.mask[:size]
+            np.less(thr_p.take(local, out=scratch.view(np.float64), mode="clip"), child_u, out=mask)
+            keep = mask.nonzero()[0]
+            parent_of = local.take(keep, out=b.index[: len(keep)], mode="clip")
+        child_rep = rep_p.take(parent_of, out=scratch.view(np.int64)[: len(keep)], mode="clip")
         added = np.bincount(child_rep, minlength=slots)
         kept += added
-        pieces.append((child_u[keep], child_keys[keep], child_rep))
-        over = kept > cap
-        if (over & (added > 0)).any():  # a replica passed the cap in this slice
+        passed = (kept > cap) & (added > 0)
+        if passed.any():  # drop the children of replicas that passed the cap
             capped = True
-            live = [~over[r] for _, _, r in pieces]
-            pieces = [tuple(a[m] for a in piece) for piece, m in zip(pieces, live)]
-    if not pieces:
-        return np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), kept
-    if len(pieces) == 1:
-        return (*pieces[0], kept)
-    return (*(np.concatenate(arrays) for arrays in zip(*pieces)), kept)
+            within = ~passed[child_rep]
+            keep, child_rep = keep[within], child_rep[within]
+            gone = np.flatnonzero(passed[out_r[:stored]])
+            if len(gone):
+                stored = _drop_runs(gone, stored, outputs)
+        end = stored + len(keep)
+        child_u.take(keep, out=out_u[stored:end], mode="clip")
+        child_keys.take(keep, out=out_k[stored:end], mode="clip")
+        out_r[stored:end] = child_rep
+        stored = end
+    return out_u[:stored], out_k[:stored], out_r[:stored], kept
 
 
 @dataclass(frozen=True)
@@ -345,10 +448,13 @@ class _BatchState:
     """Flat arrays for a batch of live replicas evolved in lockstep.
     ``rows`` holds each replica's index in the id array the batch was
     built from, in increasing order, and ``replica`` maps each member to
-    its slot in ``rows``.  Keys derive from the global replica ids, so no
-    split of the replicas into batches can change any uniform."""
+    its slot in ``rows``; members are in slot order, since children follow
+    their parents.  Keys derive from the global replica ids, so no split
+    of the replicas into batches can change any uniform.  The steps write
+    into ``buffers``, the run's ``_StepBuffers`` (a new one unless given)."""
 
-    def __init__(self, field: LabelField, replica_ids: np.ndarray):
+    def __init__(self, field: LabelField, replica_ids: np.ndarray, buffers=None):
+        self.buffers = _StepBuffers() if buffers is None else buffers
         n = len(replica_ids)
         rows = np.column_stack(np.broadcast_arrays(_TREE_TAG, replica_ids, _CHILD_BASE))
         self.keys = field.key_array(rows)
@@ -360,29 +466,36 @@ class _BatchState:
         """One generation for every replica; returns the new frontier sizes,
         where a size above ``cap`` leaves that replica without members."""
         self.uniforms, self.keys, self.replica, counts = _step_arrays(
-            self.uniforms, self.keys, self.replica, len(self.rows), theta, offspring, field, cap
+            self.uniforms, self.keys, self.replica, len(self.rows), theta, offspring, field, cap,
+            self.buffers,
         )
         return counts
 
     def keep(self, mask: np.ndarray):
-        """Drop the replicas whose slot in ``mask`` is False."""
-        members = mask[self.replica]
+        """Drop the replicas whose slot in ``mask`` is False, which have no
+        members left after a step: the slots are renumbered into
+        ``buffers.renumbered``."""
+        b, n = self.buffers, len(self.replica)
+        if n > len(b.renumbered):
+            b.renumbered = np.empty(n, dtype=np.int64)
         slot = np.cumsum(mask) - 1
         self.rows = self.rows[mask]
-        self.uniforms = self.uniforms[members]
-        self.keys = self.keys[members]
-        self.replica = slot[self.replica[members]]
+        self.replica = slot.take(self.replica, out=b.renumbered[:n], mode="clip")
 
     def split(self) -> "_BatchState":
-        """Move the second half of the replicas to a new batch."""
-        first = np.arange(len(self.rows)) < len(self.rows) // 2
-        half = copy.copy(self)
-        half.keep(~first)
-        self.keep(first)
-        return half
+        """Move the second half of the replicas to a new batch, with arrays
+        of its own; this batch keeps the first half's members, a prefix."""
+        half = len(self.rows) // 2
+        cut = int(np.searchsorted(self.replica, half))
+        other = copy.copy(self)
+        other.rows, self.rows = self.rows[half:], self.rows[:half]
+        other.uniforms, self.uniforms = self.uniforms[cut:].copy(), self.uniforms[:cut]
+        other.keys, self.keys = self.keys[cut:].copy(), self.keys[:cut]
+        other.replica, self.replica = self.replica[cut:] - half, self.replica[:cut]
+        return other
 
 
-def _histories(theta, offspring, generations, replica_ids, cap, field, weight=None):
+def _histories(theta, offspring, generations, replica_ids, cap, field, weight=None, buffers=None):
     """Evolve the replicas with global ids ``replica_ids`` for
     ``generations`` generations.
 
@@ -398,6 +511,8 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
     Only live members size the batches: before a step, a batch whose
     children could pass ``MEMBER_BUDGET`` hands half of its replicas to a
     stack.  Every output is per replica, so the split cannot change it.
+    The steps share ``buffers``, a ``_StepBuffers`` (a new one unless
+    given), which a caller that runs several drifts passes to each.
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0,1], got {theta}")
@@ -413,7 +528,7 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
     sums = None if weight is None else np.zeros((replicas, generations + 1))
     totals = np.zeros(generations + 1, dtype=np.int64)
     growth = max(offspring.mean, 1.0)
-    stack = [(0, _BatchState(field, replica_ids))]
+    stack = [(0, _BatchState(field, replica_ids, buffers))]
     while stack:
         gen, state = stack.pop()
         while len(state.rows):
@@ -441,7 +556,7 @@ def _guard_run(replicas, cap, offspring, trace_cells=0):
     the children of the widest parent of ``offspring`` with its CDF table,
     and the per-replica arrays, with ``trace_cells`` trace entries per
     replica, fit the memory guard.  Nothing is allocated before it: a step
-    builds every child of one parent at once, at about 44 bytes each, and
+    builds every child of one parent at once, at about 46 bytes each, and
     the table takes about 48 bytes per entry while it is built, so both
     count ``_BYTES_PER_MEMBER``."""
     _guard_bytes(cap * _BYTES_PER_MEMBER, f"a frontier of up to cap={cap} members")
@@ -548,10 +663,13 @@ def estimate_theta_c_tree(
     s_mid = np.full(len(levels), replicas)
     s_end = np.full(len(levels), replicas)
     pending = np.arange(replicas)
+    buffers = _StepBuffers()  # one set for every drift
     for k, th in enumerate(levels):
         if not len(pending):
             break
-        extinct_at, _, _, _ = _histories(float(th), offspring, horizon_h, pending, cap, field)
+        extinct_at, _, _, _ = _histories(
+            float(th), offspring, horizon_h, pending, cap, field, buffers=buffers
+        )
         done = replicas - len(pending)
         s_mid[k] = done + int((extinct_at > mid).sum())
         s_end[k] = done + int((extinct_at > horizon_h).sum())

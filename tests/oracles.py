@@ -24,7 +24,8 @@ evaluator of Q_theta and the root finders built on it, as
 the library is held to them bit for bit.  ``eigen_char_poly`` is a second, float route to
 the lead eigenvalue: the roots of the characteristic polynomial, and
 ``eigenfunction_oracle`` evaluates the lead eigenfunction one boolean mask
-per polynomial term.
+per polynomial term; ``eigenfunction_sorted_oracle`` is the piece-sorted
+evaluation as it was before its sums started from term 0's value of 1.0.
 ``first_moment_bound`` multiplies a path count into the single-path term
 of ``rmfperc.analytic``, as the paper's cutset and Z^n bounds do.
 
@@ -425,6 +426,32 @@ def eigenfunction_oracle(m: float, theta: float, lam: float, u):
             break
         out[mask] += coeff * (uu[mask] - i * theta) ** i
         coeff *= ratio / (i + 1)
+    return float(out[0]) if scalar else out
+
+
+def eigenfunction_sorted_oracle(m: float, theta: float, lam: float, u):
+    """``analytic.eigenfunction_eval`` as it was before its sums started
+    from term 0's value: the points sorted by piece, and term i, power
+    included, added to the run of points with piece index j >= i, each
+    point's sum starting from 0.0."""
+    scalar = np.isscalar(u)
+    uu = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    kmax = _floor_one_over(theta)
+    j = np.minimum(np.floor(uu / theta + 1e-12).astype(np.int64), kmax)
+    order = np.argsort(j.astype(np.min_scalar_type(kmax)), kind="stable")
+    us = uu[order]
+    pieces = np.bincount(j, minlength=kmax + 1)
+    starts = np.cumsum(pieces) - pieces
+    acc = np.zeros_like(uu)
+    ratio = -m / lam
+    coeff = 1.0
+    for i, s in enumerate(starts.tolist()):
+        if s == len(us):
+            break
+        acc[s:] += coeff * (us[s:] - i * theta) ** i
+        coeff *= ratio / (i + 1)
+    out = np.empty_like(uu)
+    out[order] = acc
     return float(out[0]) if scalar else out
 
 

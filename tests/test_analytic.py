@@ -24,6 +24,7 @@ from rmfperc import (
 from oracles import (
     eigen_char_poly,
     eigenfunction_oracle,
+    eigenfunction_sorted_oracle,
     first_moment_bound,
     m_critical_oracle,
     minimal_root_oracle,
@@ -443,6 +444,26 @@ def test_eigenfunction_eval_equals_mask_oracle(theta, m, lam, seed, size, data):
         got = eigenfunction_eval(m, theta, lam, x)
         assert isinstance(got, float)
         assert got == eigenfunction_oracle(m, theta, lam, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    m=st.floats(0.5, 5.0),
+    lam=st.floats(0.3, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(0, 400),
+)
+def test_eigenfunction_eval_keeps_the_bits_of_zero_started_sums(k, m, lam, seed, size):
+    # theta = 1/k puts a breakpoint at 1; u at 0, 1 and every breakpoint
+    theta = 1.0 / k
+    rng = np.random.default_rng(seed)
+    u = rng.permutation(np.concatenate([_piece_edges(theta), rng.random(size)]))
+    got = eigenfunction_eval(m, theta, lam, u)
+    assert got.tobytes() == eigenfunction_sorted_oracle(m, theta, lam, u).tobytes()
+    for x in _piece_edges(theta).tolist():
+        want = eigenfunction_sorted_oracle(m, theta, lam, x)
+        assert eigenfunction_eval(m, theta, lam, x).hex() == want.hex()
 
 
 def test_eigenfunction_validation():

@@ -1,11 +1,12 @@
 import copy
 import dataclasses
 import math
+import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.stats import kstest
 
 from oracles import (
@@ -652,6 +653,109 @@ def test_step_arrays_equal_scalar_oracle(offspring, parents, theta, cap, budget,
     live = want[3] <= cap
     assert np.array_equal(got[3] <= cap, live)
     assert np.array_equal(got[3][live], want[3][live])
+
+
+def _parent_batch(size, slots=5):
+    """Strategy for (uniforms, keys, replica) of ``size`` random parents."""
+    return st.tuples(
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=size, max_size=size),
+        st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size),
+        st.lists(st.integers(0, slots - 1), min_size=size, max_size=size),
+    ).map(lambda t: (np.array(t[0]), np.array(t[1], dtype=np.uint64), np.array(t[2], dtype=np.int64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rounds=st.lists(
+        st.tuples(
+            st.sampled_from(_STEP_LAWS),
+            st.integers(0, 40).flatmap(_parent_batch),
+            st.booleans(),
+            st.one_of(st.sampled_from([0.0, 0.3, 1.0]), st.floats(0.0, 1.0)),
+            st.one_of(st.integers(1, 40), st.just(tree.DEFAULT_CAP)),
+        ),
+        min_size=2,
+        max_size=6,
+    ),
+    budget=st.one_of(st.integers(1, 4), st.integers(1, 100), st.just(tree.MEMBER_BUDGET)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(  # one parent per slice, fed the last step's children, which
+    # fit the other side's room, so only the side keeps them apart
+    rounds=[
+        (
+            OffspringDistribution.deterministic(2),
+            (np.linspace(0.05, 0.95, 40), np.arange(40, dtype=np.uint64), np.arange(40) // 8),
+            False, 0.0, tree.DEFAULT_CAP,
+        ),
+        (OffspringDistribution.deterministic(2), None, True, 0.5, tree.DEFAULT_CAP),
+    ],
+    budget=1,
+    seed=5,
+)
+def test_reused_step_buffers_leave_nothing_stale(rounds, budget, seed):
+    # one buffer set for every step: batches of different sizes, some fed
+    # the previous step's children (views of the set), and last one parent
+    # with more children than the set has room for
+    field = LabelField(seed)
+    buffers = tree._StepBuffers()
+    previous = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree, "MEMBER_BUDGET", budget)
+        for offspring, parents, chain, theta, cap in rounds:
+            if chain and previous is not None and len(previous[0]):
+                parents = previous
+            want = step_oracle(*parents, 5, theta, offspring, field, cap)
+            got = tree._step_arrays(*parents, 5, theta, offspring, field, cap, buffers)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            live = want[3] <= cap
+            assert np.array_equal(got[3] <= cap, live)
+            assert np.array_equal(got[3][live], want[3][live])
+            previous = got[:3]
+        wide = OffspringDistribution.deterministic(len(buffers.words) + 1)
+        parents = (np.array([0.5]), np.array([seed], dtype=np.uint64), np.array([2]))
+        got = tree._step_arrays(*parents, 5, 0.2, wide, field, tree.DEFAULT_CAP, buffers)
+        want = step_oracle(*parents, 5, 0.2, wide, field, tree.DEFAULT_CAP)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _step_bytes_per_parent(monkeypatch, run):
+    """The median tracemalloc peak above each step's start, per parent,
+    over the steps of ``run()`` with more than 2,000 parents."""
+    per_parent = []
+    step = tree._step_arrays
+
+    def measured(uniforms, *args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        children = step(uniforms, *args)
+        if len(uniforms) > 2000:
+            per_parent.append((tracemalloc.get_traced_memory()[1] - start) / len(uniforms))
+        return children
+
+    monkeypatch.setattr(tree, "_step_arrays", measured)
+    tracemalloc.start()
+    try:
+        run()
+    finally:
+        tracemalloc.stop()
+    return statistics.median(per_parent)
+
+
+def test_steps_write_into_the_run_buffers(monkeypatch):
+    # the benchmark's tree sweep and martingale job; before the steps shared
+    # a buffer set, their steps took 105 and 199 bytes per parent
+    grid = np.arange(0.14, 0.305, 0.01)
+    sweep = _step_bytes_per_parent(monkeypatch, lambda: estimate_theta_c_tree(
+        OffspringDistribution.deterministic(2), grid, 50, 800, cap=1000, seed=1
+    ))
+    assert sweep <= 32
+    trace = _step_bytes_per_parent(monkeypatch, lambda: martingale_trace(
+        0.3, OffspringDistribution.poisson(3.0), 10, 2000, seed=1
+    ))
+    assert trace <= 99
 
 
 @pytest.mark.parametrize("offspring", _STEP_LAWS[1:], ids=repr)
