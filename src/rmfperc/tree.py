@@ -217,12 +217,15 @@ class OffspringDistribution:
         return counts
 
 
-def _slices(counts, offspring):
-    """The parent slices of one step, as (lo, hi) bounds: runs of at most
-    ``MEMBER_BUDGET`` children (one parent may pass it alone).  A
-    deterministic law with m children per parent has fixed runs of
-    ``MEMBER_BUDGET // m`` parents, and at least one."""
+def _slices(counts, offspring, total):
+    """The parent slices of one step with ``total`` children, as (lo, hi)
+    bounds: runs of at most ``MEMBER_BUDGET`` children (one parent may pass
+    it alone), all parents at once when the step fits.  A deterministic law
+    with m children per parent has fixed runs of ``MEMBER_BUDGET // m``
+    parents, and at least one."""
     n = len(counts)
+    if total <= MEMBER_BUDGET:
+        return [(0, n)]
     if offspring.kind == "deterministic":
         step = max(MEMBER_BUDGET // offspring.params[0], 1)
         return [(lo, min(lo + step, n)) for lo in range(0, n, step)]
@@ -350,12 +353,12 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap, b
     """
     counts = offspring.sample(keys, field)
     kept = np.zeros(slots, dtype=np.int64)
-    width = int(counts.max(initial=0))
-    if width == 0:
-        return np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), kept
     block = offspring.kind == "deterministic"
+    width = offspring.params[0] if block else int(counts.max(initial=0))
     total = len(keys) * width if block else int(counts.sum())
-    bounds = _slices(counts, offspring)
+    if total == 0:
+        return np.empty(0), np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64), kept
+    bounds = _slices(counts, offspring, total)
     b = _StepBuffers() if buffers is None else buffers
     # no replica holds more than cap members of the outputs
     outputs = b.fit(
@@ -393,8 +396,8 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap, b
             size = int(c.sum())
             if size == 0:
                 continue
-            local = np.repeat(np.arange(len(c)), c)  # each child's parent in the slice
-            first = (np.cumsum(c) - c).view(np.uint64)  # each parent's first child
+            local = np.arange(len(c)).repeat(c)  # each child's parent in the slice
+            first = (c.cumsum() - c).view(np.uint64)  # each parent's first child
             first *= _GOLDEN_W  # wraps modulo 2^64, as the words do
             scratch = first.take(local, out=b.scratch[:size], mode="clip")
             child_keys = np.subtract(b.words[:size], scratch, out=b.child_keys[:size])
@@ -408,8 +411,8 @@ def _step_arrays(uniforms, keys, replica, slots, theta, offspring, field, cap, b
         child_rep = rep_p.take(parent_of, out=scratch.view(np.int64)[: len(keep)], mode="clip")
         added = np.bincount(child_rep, minlength=slots)
         kept += added
-        passed = (kept > cap) & (added > 0)
-        if passed.any():  # drop the children of replicas that passed the cap
+        # drop the children of the replicas that passed the cap in this slice
+        if kept.max() > cap and (passed := (kept > cap) & (added > 0)).any():
             capped = True
             within = ~passed[child_rep]
             keep, child_rep = keep[within], child_rep[within]
@@ -478,7 +481,7 @@ class _BatchState:
         b, n = self.buffers, len(self.replica)
         if n > len(b.renumbered):
             b.renumbered = np.empty(n, dtype=np.int64)
-        slot = np.cumsum(mask) - 1
+        slot = mask.cumsum() - 1
         self.rows = self.rows[mask]
         self.replica = slot.take(self.replica, out=b.renumbered[:n], mode="clip")
 
@@ -543,10 +546,10 @@ def _histories(theta, offspring, generations, replica_ids, cap, field, weight=No
                 break
             counts = state.step(theta, offspring, field, cap)
             gen += 1
-            capped_at[state.rows[counts > cap]] = gen
-            extinct_at[state.rows[counts == 0]] = gen
             live = (counts > 0) & (counts <= cap)
             if not live.all():
+                capped_at[state.rows[counts > cap]] = gen
+                extinct_at[state.rows[counts == 0]] = gen
                 state.keep(live)
     return extinct_at, capped_at, sums, totals
 
